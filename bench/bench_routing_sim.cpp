@@ -8,7 +8,8 @@
 // repo's own constructive BW values, with the witness-cut crossings and
 // the certified per-instance lower bound alongside.
 //
-// Emits BENCH_routing_sim.json (--out=<path>) with rows
+// Emits BENCH_routing_sim.json (--out=<path>), recording the CPUs the
+// run could use, with rows
 //   {instance, traffic, threads, packets, total_hops, seconds,
 //    phops_per_s, min_phops_per_s, makespan, max_queue, max_link_load,
 //    bw, c14_bound, cut_bound, lower_bound, slowdown}
@@ -25,10 +26,13 @@
 // Performance gates run only in non-checked, non-sanitized builds
 // ("gated": true in the JSON): the serial B1024 uniform rows must
 // sustain >= 1M packets·hops/s (floor carried per-row, re-checked by
-// compare_bench.py), and on machines with >= 4 hardware threads the
-// 4-thread stepper must beat serial by >= 1.5x on the B1024 row.
+// compare_bench.py), and when the process may run on >= 4 CPUs (its
+// affinity mask, not the machine's core count) the 4-thread stepper
+// must beat serial by >= 1.5x on the B1024 row.
 // Exits nonzero on any gate failure — CI runs `--smoke` behind the
 // compare_bench.py baseline gate.
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -84,6 +88,18 @@ std::string tag(const char* prefix, std::uint32_t n) {
   std::string s(prefix);
   s += std::to_string(n);
   return s;
+}
+
+// The CPUs this process may run on, as nproc counts them. A container
+// or taskset pin can grant fewer than hardware_concurrency() reports, and
+// the 4-thread row only means something when the 4 threads get 4 CPUs.
+unsigned available_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    return static_cast<unsigned>(std::max(1, CPU_COUNT(&set)));
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -190,7 +206,7 @@ const Row& run_case(const topo::Butterfly& bf, const std::string& instance,
   return g_rows.back();
 }
 
-void write_json(const std::string& path, bool smoke) {
+void write_json(const std::string& path, bool smoke, unsigned cpus) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
@@ -200,6 +216,7 @@ void write_json(const std::string& path, bool smoke) {
   std::fprintf(f, "{\n  \"bench\": \"routing_sim\",\n");
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(f, "  \"gated\": %s,\n", perf_gated() ? "true" : "false");
+  std::fprintf(f, "  \"cpus\": %u,\n", cpus);
   std::fprintf(f, "  \"failures\": %d,\n", g_failures);
   std::fprintf(f, "  \"rows\": [\n");
   for (std::size_t i = 0; i < g_rows.size(); ++i) {
@@ -243,6 +260,7 @@ int main(int argc, char** argv) {
   // work: a 10x-slower build re-running the biggest rows only burns CI
   // minutes without touching new code paths.
   const bool lean = !perf_gated();
+  const unsigned cpus = available_cpus();
   std::printf("routing-sim bench (%s mode, perf gates %s)\n",
               smoke ? "smoke" : "full", perf_gated() ? "on" : "off");
 
@@ -276,7 +294,7 @@ int main(int argc, char** argv) {
       serial_cfg.reps = 3;
       const Row serial = run_case(bf, "B1024", "uniform:ppn=16:seed=42",
                                   cutres.sides, cutres.capacity, serial_cfg);
-      if (std::thread::hardware_concurrency() >= 4) {
+      if (cpus >= 4) {
         CaseConfig par_cfg;
         par_cfg.threads = 4;
         par_cfg.reps = 3;
@@ -302,9 +320,7 @@ int main(int argc, char** argv) {
           ++g_failures;
         }
       } else {
-        std::printf(
-            "B1024 4-thread speedup: skipped (%u hardware threads)\n",
-            std::thread::hardware_concurrency());
+        std::printf("B1024 4-thread speedup: skipped (%u CPUs)\n", cpus);
       }
     }
   }
@@ -361,7 +377,7 @@ int main(int argc, char** argv) {
              cutres.capacity, vc_cfg);
   }
 
-  write_json(out, smoke);
+  write_json(out, smoke, cpus);
   if (g_failures != 0) {
     std::fprintf(stderr, "%d routing-sim gate failures\n", g_failures);
     return 1;

@@ -32,9 +32,11 @@ micro-rows flap by multiples under CI jitter, and for them the
 node-count gate is the meaningful one anyway.
 
 A baseline row missing from the fresh output fails (a silently dropped
-instance is a regression too); fresh rows absent from the baseline are
-reported but pass, so adding instances does not require a lockstep
-baseline update. ``--update-baseline`` rewrites the committed files from
+instance is a regression too), unless it needs more threads than the
+CPUs the fresh run recorded (routing_sim's ``"cpus"``: the bench only
+runs its 4-thread row where 4 CPUs are available). Fresh rows absent
+from the baseline are reported but pass, so adding instances does not
+require a lockstep baseline update. ``--update-baseline`` rewrites the committed files from
 the fresh ones.
 
 Exit status: 0 clean, 1 regression (or malformed input), 2 usage error.
@@ -83,6 +85,7 @@ def rows_by_key(doc: dict) -> dict[tuple, dict]:
                 # Cross-run wall times flap with the runner; the
                 # in-binary min_phops_per_s floors are the perf gate.
                 "no_wall": True,
+                "threads": int(r["threads"]),
             }
     elif "rows" in doc:  # exact-kernel format
         for r in doc["rows"]:
@@ -124,7 +127,8 @@ def row_dispatch_rank(key: tuple) -> int:
 
 
 def compare(fresh: dict[tuple, dict], base: dict[tuple, dict],
-            label: str, fresh_rank: int = 2, base_rank: int = 2) -> list[str]:
+            label: str, fresh_rank: int = 2, base_rank: int = 2,
+            fresh_cpus: int | None = None) -> list[str]:
     failures = []
     # A run pinned below the baseline's dispatch level (scalar-only
     # machine, or the CI scalar-fallback leg's --dispatch=scalar) cannot
@@ -141,6 +145,10 @@ def compare(fresh: dict[tuple, dict], base: dict[tuple, dict],
             if row_dispatch_rank(key) > fresh_rank:
                 print(f"note: {label}: baseline row {name} needs a dispatch"
                       " level the fresh run does not have — skipped")
+                continue
+            if fresh_cpus is not None and b.get("threads", 1) > fresh_cpus:
+                print(f"note: {label}: baseline row {name} needs more CPUs"
+                      f" than the fresh run had ({fresh_cpus}) — skipped")
                 continue
             failures.append(f"{label}: row {name} vanished from the fresh run")
             continue
@@ -298,7 +306,8 @@ def main() -> int:
             continue
         failures.extend(compare(fresh_rows, base_rows, path.name,
                                 dispatch_rank(fresh_doc),
-                                dispatch_rank(base_doc)))
+                                dispatch_rank(base_doc),
+                                fresh_doc.get("cpus")))
         failures.extend(speedup_failures(fresh_rows, base_rows, path.name))
         failures.extend(routing_sim_failures(fresh_doc, path.name))
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "routing/packet_sim.hpp"
+#include "routing/sim_engine.hpp"
 
 namespace bfly::routing {
 
@@ -26,8 +26,9 @@ EmulationReport emulate_full_exchange(const embed::EmbeddingCase& c) {
     }
   }
   rep.messages_per_step = packets.size();
-  const auto sim = routing::simulate_store_and_forward(c.host, packets);
-  rep.step_makespan = sim.makespan;
+  SimEngine engine(c.host);
+  engine.load(packets);
+  rep.step_makespan = engine.run().makespan;
   return rep;
 }
 

@@ -24,7 +24,9 @@ RandomRouteReport random_destination_experiment(
     if (bisection_sides[src] != bisection_sides[dst]) ++rep.cross_bisection;
     paths.push_back(route(src, dst));
   }
-  rep.sim = simulate_store_and_forward(g, paths);
+  SimEngine engine(g);
+  engine.load(paths);
+  rep.sim = engine.run();
   rep.bisection_time_bound =
       static_cast<double>(n) / (4.0 * static_cast<double>(bw));
   return rep;

@@ -10,12 +10,12 @@
 
 #include "core/graph.hpp"
 #include "core/types.hpp"
-#include "routing/packet_sim.hpp"
+#include "routing/sim_engine.hpp"
 
 namespace bfly::routing {
 
 struct RandomRouteReport {
-  SimResult sim;
+  EngineStats sim;
   std::size_t num_packets = 0;
   /// Messages that actually crossed the given bisection (for comparison
   /// with the N/4 expectation).

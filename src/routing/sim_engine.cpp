@@ -13,7 +13,23 @@ namespace bfly::routing {
 
 namespace {
 
-constexpr std::uint32_t kNoPacket = 0xFFFFFFFFu;
+// Sentinels reserved at the top of the 32-bit id space. Queue ids and
+// hop indices stay strictly below kFirstSentinel (checked at
+// construction and load), so neither can be mistaken for one.
+constexpr std::uint32_t kNoPacket = 0xFFFFFFFFu;  // proposal_: queue empty
+constexpr std::uint32_t kDeliver = 0xFFFFFFFEu;   // next_q_: last hop
+constexpr std::uint32_t kFirstSentinel = kDeliver;
+
+// Queues ahead of the drain cursor whose head slot phase A prefetches.
+constexpr std::size_t kHeadPrefetch = 16;
+
+inline void prefetch(const void* p) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(p);
+#else
+  static_cast<void>(p);
+#endif
+}
 
 // Sense-reversing spin barrier for the synchronous phases. Stepping
 // needs two barriers per step (three with multi-VC arbitration), so a
@@ -72,11 +88,11 @@ struct alignas(64) SimEngine::WorkerCtx {
   std::uint64_t moved = 0;      // this step (every departed head)
   std::size_t max_queue = 0;    // running max over the whole run
 
-  // Phase-B scratch: (target queue, packet, source queue) candidates of
-  // one node. Reused across steps; butterfly degrees keep it tiny.
+  // Phase-B scratch: (target queue, hop index, source queue) candidates
+  // of one node. Reused across steps; butterfly degrees keep it tiny.
   struct Cand {
     std::uint32_t tq;
-    std::uint32_t pkt;
+    std::uint32_t hop;
     std::uint32_t iq;
   };
   std::vector<Cand> cands;
@@ -87,7 +103,7 @@ SimEngine::SimEngine(const Graph& g, SimOptions opts)
   BFLY_CHECK(opts_.vcs_per_link >= 1 && opts_.vcs_per_link <= 64,
              "vcs_per_link must be in [1, 64]");
   const std::size_t num_links = 2 * g.num_edges();
-  BFLY_CHECK(num_links * opts_.vcs_per_link < kNoPacket,
+  BFLY_CHECK(num_links * opts_.vcs_per_link < kFirstSentinel,
              "queue table too large for 32-bit ids");
 
   link_to_.resize(num_links);
@@ -133,29 +149,35 @@ void SimEngine::load_impl(
     const std::vector<std::vector<NodeId>>& paths,
     const std::vector<std::vector<std::uint32_t>>* hop_vcs) {
   const Graph& g = *g_;
+  loaded_ = false;  // a load that throws leaves nothing to run
   num_packets_ = paths.size();
-  BFLY_CHECK(num_packets_ < kNoPacket, "too many packets for 32-bit ids");
   delivered_preloaded_ = 0;
 
-  // Route offsets (prefix over hop counts) — serial, trivial.
-  route_off_.assign(num_packets_ + 1, 0);
+  // Global hop offsets (prefix over hop counts) — serial, trivial. Hop
+  // indices live in the slots, so the total must stay below the
+  // sentinels.
+  std::vector<std::uint32_t> route_off(num_packets_ + 1, 0);
+  std::uint64_t hops = 0;
   for (std::size_t p = 0; p < num_packets_; ++p) {
     BFLY_CHECK(!paths[p].empty(), "packet path must be nonempty");
     if (hop_vcs != nullptr) {
       BFLY_CHECK((*hop_vcs)[p].size() + 1 == paths[p].size(),
                  "hop_vcs entry must have one vc per hop");
     }
-    route_off_[p + 1] =
-        route_off_[p] + static_cast<std::uint32_t>(paths[p].size() - 1);
+    hops += paths[p].size() - 1;
+    BFLY_CHECK(hops < kFirstSentinel, "too many hops for 32-bit ids");
+    route_off[p + 1] = static_cast<std::uint32_t>(hops);
   }
-  total_hops_ = route_off_[num_packets_];
-  route_q_.resize(total_hops_);
-  pos_.assign(num_packets_, 0);
+  total_hops_ = hops;
+  next_q_.resize(total_hops_);
+  std::vector<std::uint32_t> first_q(num_packets_);  // kDeliver: no hops
 
-  // Compile node paths into flat queue-id sequences, in parallel over
-  // packet ranges (disjoint output slices). The per-hop edge lookup is a
-  // binary search in the sorted adjacency row — off the stepping hot
-  // path, once per hop ever.
+  // Compile node paths into queue ids, in parallel over packet ranges
+  // (disjoint output slices). Hop h of a packet stores the queue of hop
+  // h + 1 (kDeliver on the last hop), so stepping reads one entry per
+  // move; the first hop's queue only seeds injection. The per-hop edge
+  // lookup is a binary search in the sorted adjacency row — off the
+  // stepping hot path, once per hop ever.
   const std::uint32_t vcs = opts_.vcs_per_link;
   const unsigned workers = resolve_threads(opts_.num_threads);
   const std::size_t shards =
@@ -173,6 +195,10 @@ void SimEngine::load_impl(
                                           static_cast<unsigned>(shard));
         for (std::size_t p = pb; p < pe; ++p) {
           const auto& path = paths[p];
+          // Hop i's queue goes to prev, then prev moves to the entry of
+          // hop i itself, which holds the queue of hop i + 1.
+          std::uint32_t* prev = &first_q[p];
+          std::uint32_t* out = next_q_.data() + route_off[p];
           for (std::size_t i = 0; i + 1 < path.size(); ++i) {
             const NodeId from = path[i];
             const NodeId to = path[i + 1];
@@ -191,17 +217,24 @@ void SimEngine::load_impl(
               vc = (*hop_vcs)[p][i];
               BFLY_CHECK(vc < vcs, "hop vc out of range");
             }
-            route_q_[route_off_[p] + i] = (2 * eid + dir) * vcs + vc;
+            *prev = (2 * eid + dir) * vcs + vc;
+            prev = out++;
           }
+          *prev = kDeliver;
         }
       },
       ws_opts);
 
   // Static per-queue loads size the slot regions; per-link sums give
-  // max_link_load (the congestion figure the benches report).
+  // max_link_load (the congestion figure the benches report). Every hop
+  // is either a packet's first or the successor of another hop.
   const std::size_t num_queues = link_to_.size() * vcs;
-  q_base_.assign(num_queues + 1, 0);
-  for (const std::uint32_t q : route_q_) ++q_base_[q + 1];
+  // kDeliver entries land in one spare counter past the end (branch-free).
+  q_base_.assign(num_queues + 2, 0);
+  const auto spare = static_cast<std::uint32_t>(num_queues);
+  for (const std::uint32_t q : first_q) ++q_base_[std::min(q, spare) + 1];
+  for (const std::uint32_t q : next_q_) ++q_base_[std::min(q, spare) + 1];
+  q_base_.pop_back();
   max_link_load_ = 0;
   for (std::size_t l = 0; l < link_to_.size(); ++l) {
     std::size_t load = 0;
@@ -217,14 +250,15 @@ void SimEngine::load_impl(
   sent_.assign(num_queues, 0);
 
   // Inject first hops in packet-id order: each queue's initial slots are
-  // ascending ids, matching the (fixed) reference model's enqueue order.
+  // ascending hop indices — equivalently ascending packet ids, matching
+  // the reference model's enqueue order.
   for (std::size_t p = 0; p < num_packets_; ++p) {
-    if (route_off_[p + 1] == route_off_[p]) {
+    const std::uint32_t q = first_q[p];
+    if (q == kDeliver) {
       ++delivered_preloaded_;
       continue;
     }
-    const std::uint32_t q = route_q_[route_off_[p]];
-    slots_[q_base_[q] + tail_[q]++] = static_cast<std::uint32_t>(p);
+    slots_[q_base_[q] + tail_[q]++] = route_off[p];
   }
   loaded_ = true;
 }
@@ -233,17 +267,26 @@ void SimEngine::phase_a(std::size_t q_begin, std::size_t q_end,
                         WorkerCtx& ctx) {
   const bool multi_vc = opts_.vcs_per_link > 1;
   for (std::size_t q = q_begin; q < q_end; ++q) {
+    // Queues are visited in order but their head slots are scattered
+    // over the slot array: start the miss for a queue further on now.
+    // (A drained last queue points one past the end: formed, never read.)
+    if (const std::size_t a = q + kHeadPrefetch; a < q_end) {
+      prefetch(slots_.data() + q_base_[a] + head_[a] + sent_[a]);
+    }
     if (sent_[q] != 0) {  // complete last step's departure
       ++head_[q];
       sent_[q] = 0;
     }
     const std::uint32_t occ = tail_[q] - head_[q];
-    if (occ != 0) {
-      ctx.max_queue = std::max<std::size_t>(ctx.max_queue, occ);
+    if (occ == 0) {
+      if (!multi_vc) proposal_[q] = kNoPacket;
+      continue;
     }
-    if (multi_vc) continue;  // phase_arb owns the proposals
-    proposal_[q] =
-        occ == 0 ? kNoPacket : slots_[q_base_[q] + head_[q]];
+    ctx.max_queue = std::max<std::size_t>(ctx.max_queue, occ);
+    const std::uint32_t h = slots_[q_base_[q] + head_[q]];
+    // The arbiter or phase B reads the head's next hop next.
+    prefetch(&next_q_[h]);
+    if (!multi_vc) proposal_[q] = h;  // else phase_arb owns the proposals
   }
 }
 
@@ -261,20 +304,11 @@ void SimEngine::phase_arb(std::size_t l_begin, std::size_t l_end) {
       const std::uint32_t q = static_cast<std::uint32_t>(l * vcs + v);
       proposal_[q] = kNoPacket;
       if (chosen || head_[q] == tail_[q]) continue;
-      const std::uint32_t pkt = slots_[q_base_[q] + head_[q]];
-      const std::uint32_t next = pos_[pkt] + 1;
-      bool movable = route_off_[pkt] + next == route_off_[pkt + 1];
-      if (!movable) {
-        if (cap == 0) {
-          movable = true;
-        } else {
-          const std::uint32_t tq = route_q_[route_off_[pkt] + next];
-          movable = tail_[tq] - head_[tq] < cap;
-        }
-      }
-      if (movable) {
+      const std::uint32_t h = slots_[q_base_[q] + head_[q]];
+      const std::uint32_t nq = next_q_[h];
+      if (nq == kDeliver || cap == 0 || tail_[nq] - head_[nq] < cap) {
         chosen = true;
-        proposal_[q] = pkt;
+        proposal_[q] = h;
       }
     }
   }
@@ -287,38 +321,40 @@ void SimEngine::phase_b(NodeId n_begin, NodeId n_end, WorkerCtx& ctx) {
     cands.clear();
     for (std::uint32_t k = in_q_offsets_[a]; k < in_q_offsets_[a + 1]; ++k) {
       const std::uint32_t iq = in_q_ids_[k];
-      const std::uint32_t pkt = proposal_[iq];
-      if (pkt == kNoPacket) continue;
-      const std::uint32_t next = pos_[pkt] + 1;
-      if (route_off_[pkt] + next == route_off_[pkt + 1]) {
+      const std::uint32_t h = proposal_[iq];
+      if (h == kNoPacket) continue;
+      const std::uint32_t nq = next_q_[h];
+      if (nq == kDeliver) {
         // Terminates here: deliveries are always admitted.
         ++ctx.delivered;
         ++ctx.moved;
         sent_[iq] = 1;
         continue;
       }
-      cands.push_back({route_q_[route_off_[pkt] + next], pkt, iq});
+      cands.push_back({nq, h, iq});
     }
     if (cands.empty()) continue;
-    // Admission in packet-id order per target queue: deterministic for
+    // Admission in hop-index order per target queue. Hop indices of
+    // different packets ascend with packet id (each packet owns one
+    // contiguous range), so this is packet-id order: deterministic for
     // any worker count, and the exact tie-break of the reference model.
     std::sort(cands.begin(), cands.end(),
               [](const WorkerCtx::Cand& x, const WorkerCtx::Cand& y) {
-                return x.tq != y.tq ? x.tq < y.tq : x.pkt < y.pkt;
+                return x.tq != y.tq ? x.tq < y.tq : x.hop < y.hop;
               });
     for (std::size_t i = 0; i < cands.size();) {
       const std::uint32_t tq = cands[i].tq;
-      std::uint32_t free = kNoPacket;  // unbounded
+      std::uint32_t free = 0;  // bounded queues only
       if (cap != 0) {
         const std::uint32_t occ = tail_[tq] - head_[tq];
         free = occ >= cap ? 0 : cap - occ;
       }
       for (; i < cands.size() && cands[i].tq == tq; ++i) {
-        if (free == 0) continue;  // head stays put, retries next step
-        if (free != kNoPacket) --free;
-        const std::uint32_t pkt = cands[i].pkt;
-        ++pos_[pkt];
-        slots_[q_base_[tq] + tail_[tq]++] = pkt;
+        if (cap != 0) {
+          if (free == 0) continue;  // head stays put, retries next step
+          --free;
+        }
+        slots_[q_base_[tq] + tail_[tq]++] = cands[i].hop + 1;
         sent_[cands[i].iq] = 1;
         ++ctx.moved;
       }

@@ -3,12 +3,13 @@
 // The paper's Section 1.2 routing motivation (claim C14) says delivering
 // N random-destination packets needs at least N/(4·BW) steps. Turning
 // that from a gesture into a measured experiment axis requires a
-// simulator fast enough to reach B1024+ — which the reference model in
-// packet_sim.cpp (unordered_map of deques, one heap node per enqueue)
-// is not. This engine keeps the reference's synchronous store-and-
-// forward semantics exactly (single virtual channel, unbounded queues:
-// bit-identical makespan/max_queue, asserted by test_sim_engine) while
-// storing everything structure-of-arrays:
+// simulator fast enough to reach B1024+ — which the reference model
+// (tests/packet_sim.cpp: unordered_map of deques, one heap node per
+// enqueue) is not. This engine is the library's only packet simulator.
+// It keeps the reference's synchronous store-and-forward semantics
+// exactly (single virtual channel, unbounded queues: bit-identical
+// makespan/max_queue, asserted by test_sim_engine) while storing
+// everything structure-of-arrays:
 //
 //   * a dense directed-link table built once from the Graph — link
 //     2e/2e+1 are the two directions of undirected edge e, so the hot
@@ -17,15 +18,21 @@
 //     A packet occupies a given queue at most once, so each queue's
 //     slot region is sized by its static load and head/tail advance
 //     monotonically — no ring arithmetic, no per-packet allocation;
-//   * SoA packet state: compiled routes (flat queue-id sequences) plus
-//     a position cursor per packet, compiled in parallel over packet
-//     ranges with the WorkStealingScheduler.
+//   * hop-indexed slots: every hop of every packet has a global index
+//     h (packet-major, so ordering by h is ordering by packet id), and
+//     a queue slot holds the h of the packet waiting there. One array,
+//     next_q_[h], names the queue of the packet's next hop (or a
+//     deliver sentinel), so a move reads one packet-indexed entry and
+//     writes h + 1 into the target queue — no per-packet cursor. It is
+//     compiled in parallel over packet ranges with the
+//     WorkStealingScheduler.
 //
 // Each step is two synchronous phases separated by barriers (three with
 // multiple virtual channels):
 //
 //   phase A (drain, over queue ranges): complete last step's departures
-//     (pop sent heads), record occupancy, propose every head packet;
+//     (pop sent heads), record occupancy, propose every head packet,
+//     prefetching head slots ahead and each proposal's next_q_ entry;
 //   phase A2 (arbitrate, over link ranges, vcs_per_link > 1 only):
 //     virtual channels are separate BUFFERS sharing one physical link —
 //     a directed link transmits at most ONE packet per step regardless
@@ -138,16 +145,15 @@ class SimEngine {
   std::vector<std::uint32_t> in_q_offsets_;  // per-node in-queue CSR
   std::vector<std::uint32_t> in_q_ids_;
 
-  // SoA packet state.
-  std::vector<std::uint32_t> route_off_;  // num_packets + 1
-  std::vector<std::uint32_t> pos_;        // current hop index per packet
-  std::vector<std::uint32_t> route_q_;    // flat queue-id sequences
+  // Packet state: per global hop index, the queue of the next hop
+  // (kDeliver on a packet's last hop).
+  std::vector<std::uint32_t> next_q_;
 
   // Queues: one flat slot array, per-queue regions sized by static load.
   std::vector<std::uint32_t> q_base_;  // num_queues + 1
   std::vector<std::uint32_t> head_;    // relative to q_base_
   std::vector<std::uint32_t> tail_;
-  std::vector<std::uint32_t> slots_;   // total_hops packet ids
+  std::vector<std::uint32_t> slots_;     // total_hops hop indices
   std::vector<std::uint32_t> proposal_;  // per queue, kNoPacket if empty
   std::vector<std::uint8_t> sent_;       // head departed this step
 

@@ -10,10 +10,10 @@
 
 #include "core/rng.hpp"
 #include "embed/factory.hpp"
+#include "packet_sim.hpp"
 #include "routing/benes_route.hpp"
 #include "routing/butterfly_routing.hpp"
 #include "routing/experiments.hpp"
-#include "routing/packet_sim.hpp"
 #include "routing/rearrange_certificate.hpp"
 #include "topology/benes.hpp"
 #include "topology/butterfly.hpp"

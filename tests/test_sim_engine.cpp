@@ -10,8 +10,8 @@
 
 #include "core/error.hpp"
 #include "cut/constructive.hpp"
+#include "packet_sim.hpp"
 #include "routing/butterfly_routing.hpp"
-#include "routing/packet_sim.hpp"
 #include "routing/sim_engine.hpp"
 #include "routing/traffic.hpp"
 #include "topology/butterfly.hpp"
@@ -93,6 +93,51 @@ TEST(SimEngineDifferential, MatchesReferenceOnHandScenarios) {
   expect_matches_reference(g, {{0, 1, 2}, {2, 1, 0}}, 2);
   expect_matches_reference(g, {{0}, {1}}, 1);
   expect_matches_reference(g, {}, 1);
+}
+
+// Slots hold global hop indices, and admission sorts by them: that is
+// packet-id order only because each packet owns one contiguous range of
+// indices. These scenarios make the order decide the makespan, with
+// routes of unequal length, zero-hop packets shifting every later range,
+// and the contenders at different positions of their routes.
+// The graph is the line 2-3-4-5 with two branches merging at node 2:
+// 6-1-2 and 0-2. `deep` ({6,1,2,3,4,5}) reaches node 2 after two hops; `shallow`
+// ({0,2,3}) after one, having waited a step behind `blocker` ({0,2}).
+// Both join link 2->3's queue in step 2, the lower packet id first.
+TEST(SimEngineDifferential, HopIndexAdmissionFollowsPacketIds) {
+  GraphBuilder gb(7);
+  for (const auto& [u, v] : std::vector<std::pair<NodeId, NodeId>>{
+           {0, 2}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {1, 6}}) {
+    gb.add_edge(u, v);
+  }
+  const Graph g = std::move(gb).build();
+  const std::vector<NodeId> deep = {6, 1, 2, 3, 4, 5};
+  const std::vector<NodeId> shallow = {0, 2, 3};
+  const std::vector<NodeId> blocker = {0, 2};
+  struct Case {
+    std::vector<std::vector<NodeId>> paths;
+    std::uint32_t makespan;
+  };
+  const std::vector<Case> cases = {
+      // shallow (id 1) crosses 2->3 in step 3, deep in steps 4..6.
+      {{blocker, shallow, {4}, deep}, 6},
+      // deep (id 0) crosses in step 3 and delivers at 5; shallow at 4.
+      {{deep, {3}, blocker, shallow}, 5},
+      // Same contest with zero-hop packets around every route.
+      {{{5}, blocker, {0}, {2}, shallow, {6}, deep, {1}}, 6},
+      {{{2}, deep, {2}, {2}, blocker, shallow, {3}}, 5},
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    for (const unsigned threads : {1u, 3u}) {
+      SCOPED_TRACE("case " + std::to_string(c) + " t=" +
+                   std::to_string(threads));
+      expect_matches_reference(g, cases[c].paths, threads);
+      SimOptions opts;
+      opts.num_threads = threads;
+      EXPECT_EQ(run_engine(g, cases[c].paths, opts).makespan,
+                cases[c].makespan);
+    }
+  }
 }
 
 // ---- conservation and bound domination ------------------------------
@@ -244,6 +289,29 @@ TEST(SimEngine, StageWeightedVcsAreMonotoneAndInRange) {
   }
 }
 
+TEST(SimEngine, BoundedStageWeightedVcsPinnedOnB64) {
+  // The bounded multi-VC configuration is outside the reference model,
+  // so its figures are pinned: the E25 vc3cap4 row of the committed
+  // bench baseline.
+  const topo::Butterfly bf(64);
+  const auto traffic =
+      make_traffic(bf, parse_traffic_spec("uniform:ppn=16:seed=42"));
+  const auto hop_vcs = stage_weighted_vcs(bf, traffic.paths, 3);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SimOptions opts;
+    opts.num_threads = threads;
+    opts.vcs_per_link = 3;
+    opts.vc_capacity = 4;
+    SimEngine eng(bf.graph(), opts);
+    eng.load(traffic.paths, hop_vcs);
+    const EngineStats st = eng.run();
+    EXPECT_EQ(st.makespan, 173u);
+    EXPECT_EQ(st.max_queue, 16u);
+    EXPECT_EQ(st.delivered, traffic.paths.size());
+  }
+}
+
 // ---- determinism across thread counts (tsan stress) -----------------
 
 TEST(SimEngineStress, ParallelStepperMatchesSerialOnB64) {
@@ -309,6 +377,11 @@ TEST(SimEngine, RejectsBadInput) {
                PreconditionError);
   EXPECT_THROW(eng.load({{0, 1}}, {}), PreconditionError);  // vc shape
   EXPECT_THROW(eng.load({{0, 1}}, {{5}}), PreconditionError);  // vc range
+  // A load that throws part-way discards the previous one too: running
+  // half-compiled routes would read stale hop entries.
+  eng.load({{0, 1}});
+  EXPECT_THROW(eng.load({{0, 1}, {0, 2}}), PreconditionError);
+  EXPECT_THROW(static_cast<void>(eng.run()), PreconditionError);
   SimOptions opts;
   opts.vcs_per_link = 0;
   EXPECT_THROW(static_cast<void>(SimEngine(g, opts)), PreconditionError);

@@ -13,9 +13,9 @@
 #include "embed/factory.hpp"
 #include "expansion/constructive_sets.hpp"
 #include "expansion/credit_scheme.hpp"
+#include "packet_sim.hpp"
 #include "routing/benes_route.hpp"
 #include "routing/butterfly_routing.hpp"
-#include "routing/packet_sim.hpp"
 #include "topology/benes.hpp"
 #include "topology/butterfly.hpp"
 #include "topology/ccc.hpp"
