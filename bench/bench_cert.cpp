@@ -216,12 +216,9 @@ void corpus_case(const std::string& instance, const Graph& g,
     po.master_seed = seed;
     po.num_threads = 1;
     po.run_branch_bound = false;
-    // Trim the quadratic portfolio legs to corpus scale (KL passes are
-    // O(n^2); at default effort they dominate the whole bench run) and
-    // keep the row's wall clock small enough that the >25% bench gate
-    // measures regressions, not CI hardware variance.
-    po.kl.restarts = 1;
-    po.kl.max_passes = 1;
+    // Trim the portfolio legs to corpus scale and keep the row's wall
+    // clock small enough that the >25% bench gate measures regressions,
+    // not CI hardware variance.
     po.sa.restarts = 1;
     po.sa.steps_per_temperature = 2000;
     po.fm.restarts = 4;

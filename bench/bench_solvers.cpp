@@ -12,7 +12,6 @@
 #include "cut/brute_force.hpp"
 #include "cut/constructive.hpp"
 #include "cut/fiduccia_mattheyses.hpp"
-#include "cut/kernighan_lin.hpp"
 #include "cut/mos_theory.hpp"
 #include "cut/multilevel.hpp"
 #include "cut/portfolio.hpp"
@@ -47,17 +46,6 @@ void BM_BranchBoundBisection_B8(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BranchBoundBisection_B8);
-
-void BM_KernighanLin(benchmark::State& state) {
-  const topo::Butterfly bf(static_cast<std::uint32_t>(state.range(0)));
-  cut::KernighanLinOptions opts;
-  opts.restarts = 2;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cut::min_bisection_kernighan_lin(bf.graph(), opts));
-  }
-}
-BENCHMARK(BM_KernighanLin)->Arg(8)->Arg(16);
 
 void BM_FiducciaMattheyses(benchmark::State& state) {
   const topo::Butterfly bf(static_cast<std::uint32_t>(state.range(0)));
@@ -116,9 +104,6 @@ void BM_SerialSolverSweep(benchmark::State& state) {
     cut::FiducciaMattheysesOptions fm;
     fm.seed = seeds.fm;
     benchmark::DoNotOptimize(cut::min_bisection_fiduccia_mattheyses(g, fm));
-    cut::KernighanLinOptions kl;
-    kl.seed = seeds.kl;
-    benchmark::DoNotOptimize(cut::min_bisection_kernighan_lin(g, kl));
     cut::SimulatedAnnealingOptions sa;
     sa.seed = seeds.sa;
     benchmark::DoNotOptimize(cut::min_bisection_simulated_annealing(g, sa));

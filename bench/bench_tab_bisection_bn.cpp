@@ -1,7 +1,7 @@
 // E3 — Theorem 2.20 headline table: BW(Bn)/n across n.
 //
 // exact       branch-and-bound / exhaustive optimum (materializable n)
-// heuristic   best of FM/KL (upper bound witness)
+// heuristic   best of FM/multilevel (upper bound witness)
 // folklore    the column-split cut (capacity n) the paper debunks
 // MOS LB      the Lemma 2.13 analytic chain 2 BW(MOS_{n,n}, M2)/n^2
 // asymptote   2(sqrt2 - 1) = 0.8284..., the true limit of BW(Bn)/n
@@ -13,7 +13,6 @@
 #include "cut/brute_force.hpp"
 #include "cut/constructive.hpp"
 #include "cut/fiduccia_mattheyses.hpp"
-#include "cut/kernighan_lin.hpp"
 #include "cut/lemma213.hpp"
 #include "cut/mos_theory.hpp"
 #include "cut/multilevel.hpp"
@@ -41,9 +40,8 @@ int main() {
       bw = std::min<std::size_t>(r.capacity, n);
     } else {
       const auto fm = cut::min_bisection_fiduccia_mattheyses(bf.graph());
-      const auto kl = cut::min_bisection_kernighan_lin(bf.graph());
       const auto ml = cut::min_bisection_multilevel(bf.graph());
-      bw = std::min({fm.capacity, kl.capacity, ml.capacity,
+      bw = std::min({fm.capacity, ml.capacity,
                      static_cast<std::size_t>(n)});
       tag = "heuristic UB";
     }

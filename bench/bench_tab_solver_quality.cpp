@@ -40,21 +40,19 @@ void solve_row(const Graph& g, io::Table& t, const std::string& name,
   cut::PortfolioOptions opts;
   opts.master_seed = kMaster;
   const auto seeds = cut::derive_portfolio_seeds(kMaster);
-  opts.kl.seed = seeds.kl;
   opts.fm.seed = seeds.fm;
   opts.sa.seed = seeds.sa;
   opts.multilevel.seed = seeds.multilevel;
   opts.spectral.seed = seeds.spectral;
 
   const auto t_serial = std::chrono::steady_clock::now();
-  const auto kl = cut::min_bisection_kernighan_lin(g, opts.kl);
   const auto fm = cut::min_bisection_fiduccia_mattheyses(g, opts.fm);
   const auto sa = cut::min_bisection_simulated_annealing(g, opts.sa);
   const auto sp = cut::min_bisection_spectral(g, opts.spectral);
   const auto ml = cut::min_bisection_multilevel(g, opts.multilevel);
   double serial_s = seconds_since(t_serial);
-  std::size_t best_serial = kl.capacity;
-  for (const auto* r : {&fm, &sa, &sp, &ml}) {
+  std::size_t best_serial = fm.capacity;
+  for (const auto* r : {&sa, &sp, &ml}) {
     best_serial = std::min(best_serial, r->capacity);
   }
   if (exact_in_reach) {
@@ -74,7 +72,7 @@ void solve_row(const Graph& g, io::Table& t, const std::string& name,
   const auto pf = cut::min_bisection_portfolio(g, opts);
 
   t.add(name, std::to_string(g.num_nodes()), exact_or_paper,
-        std::to_string(kl.capacity), std::to_string(fm.capacity),
+        std::to_string(fm.capacity),
         std::to_string(sa.capacity), std::to_string(sp.capacity),
         std::to_string(ml.capacity),
         std::to_string(pf.best.capacity) + (pf.proved_optimal ? "*" : ""),
@@ -93,7 +91,7 @@ int main() {
   std::cout << "E11b — bisection capacity by solver (lower is better);\n"
                "portfolio column races all of them at 4 threads on the\n"
                "same seeds (* = optimality proved by branch-and-bound)\n\n";
-  io::Table t({"network", "N", "exact/paper", "KL", "FM", "SA", "spectral",
+  io::Table t({"network", "N", "exact/paper", "FM", "SA", "spectral",
                "multilevel", "portfolio", "serial_ms", "portfolio_ms"});
 
   // Checked builds run every solver with deep validation at exit and no

@@ -4,7 +4,7 @@
 // Usage: bisection_explorer [family] [n] [solver]
 //   family: bn | wn | ccc | hypercube | benes | mos   (default bn)
 //   n:      power of two (default 16); for mos, the side j of MOS_{j,j}
-//   solver: exact | bb | kl | fm | sa | spectral | ml | portfolio |
+//   solver: exact | bb | fm | sa | spectral | ml | portfolio |
 //           folklore   (default fm; portfolio races everything at
 //           hardware concurrency and prints per-solver telemetry)
 #include <cstdlib>
@@ -15,7 +15,6 @@
 #include "cut/brute_force.hpp"
 #include "cut/constructive.hpp"
 #include "cut/fiduccia_mattheyses.hpp"
-#include "cut/kernighan_lin.hpp"
 #include "cut/multilevel.hpp"
 #include "cut/portfolio.hpp"
 #include "cut/simulated_annealing.hpp"
@@ -34,7 +33,6 @@ using namespace bfly;
 cut::CutResult solve(const Graph& g, const std::string& solver) {
   if (solver == "exact") return cut::min_bisection_exhaustive(g);
   if (solver == "bb") return cut::min_bisection_branch_bound(g);
-  if (solver == "kl") return cut::min_bisection_kernighan_lin(g);
   if (solver == "fm") return cut::min_bisection_fiduccia_mattheyses(g);
   if (solver == "sa") return cut::min_bisection_simulated_annealing(g);
   if (solver == "spectral") return cut::min_bisection_spectral(g);

@@ -23,7 +23,6 @@
 #include "cut/bisection.hpp"
 #include "cut/branch_bound.hpp"
 #include "cut/fiduccia_mattheyses.hpp"
-#include "cut/kernighan_lin.hpp"
 #include "cut/multilevel.hpp"
 #include "cut/simulated_annealing.hpp"
 #include "topology/butterfly.hpp"
@@ -52,7 +51,7 @@ Graph build_topology(std::uint8_t family, std::uint8_t size_sel) {
 }
 
 CutResult run_solver(const Graph& g, std::uint8_t which, std::uint64_t seed) {
-  switch (which % 4u) {
+  switch (which % 3u) {
     case 0: {
       bfly::cut::FiducciaMattheysesOptions o;
       o.restarts = 2;
@@ -61,13 +60,6 @@ CutResult run_solver(const Graph& g, std::uint8_t which, std::uint64_t seed) {
       return bfly::cut::min_bisection_fiduccia_mattheyses(g, o);
     }
     case 1: {
-      bfly::cut::KernighanLinOptions o;
-      o.restarts = 2;
-      o.max_passes = 4;
-      o.seed = seed;
-      return bfly::cut::min_bisection_kernighan_lin(g, o);
-    }
-    case 2: {
       bfly::cut::SimulatedAnnealingOptions o;
       o.restarts = 1;
       o.steps_per_temperature = 16;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
-#include <queue>
 #include <vector>
 
 #include "core/error.hpp"
@@ -20,10 +19,8 @@ namespace {
 // by node, plus a high-water bucket pointer. Insert, erase, and gain
 // update are O(1); extracting the best candidate walks the pointer down
 // to the first nonempty bucket. Within that bucket ties break toward
-// the HIGHEST node id — exactly the order the lazy priority queues pop
-// (their entries compare (gain, node)), so the two structures yield
-// bit-identical passes and either can differentially validate the
-// other.
+// the HIGHEST node id, i.e. the candidate is the maximum (gain, node)
+// pair.
 class GainBuckets {
  public:
   GainBuckets(NodeId n, std::int64_t max_abs_gain)
@@ -90,11 +87,7 @@ class GainBuckets {
 
 // One FM pass: every node moves exactly once, chosen greedily by gain from
 // the side currently at or above half; the best balanced prefix is kept.
-// Candidate selection runs on the gain-bucket array by default; the
-// original lazy priority queues (which tolerate stale entries, validated
-// on pop) are retained as the differential reference. Both produce the
-// identical move sequence.
-bool fm_pass(Partition& part, bool gain_buckets) {
+bool fm_pass(Partition& part) {
   const Graph& g = part.graph();
   const NodeId n = g.num_nodes();
   const std::size_t start_cap = part.cut_capacity();
@@ -104,21 +97,9 @@ bool fm_pass(Partition& part, bool gain_buckets) {
     max_deg = std::max(max_deg, static_cast<std::int64_t>(g.degree(v)));
   }
 
-  using Entry = std::pair<std::int64_t, NodeId>;  // (gain, node)
-  std::priority_queue<Entry> pq[2];
-  std::vector<GainBuckets> gb;
+  GainBuckets gb[2] = {GainBuckets(n, max_deg), GainBuckets(n, max_deg)};
   std::vector<std::uint8_t> locked(n, 0);
-  if (gain_buckets) {
-    gb.emplace_back(n, max_deg);
-    gb.emplace_back(n, max_deg);
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    if (gain_buckets) {
-      gb[part.side(v)].insert(v, part.gain(v));
-    } else {
-      pq[part.side(v)].emplace(part.gain(v), v);
-    }
-  }
+  for (NodeId v = 0; v < n; ++v) gb[part.side(v)].insert(v, part.gain(v));
 
   std::vector<NodeId> moves;
   moves.reserve(n);
@@ -127,59 +108,22 @@ bool fm_pass(Partition& part, bool gain_buckets) {
 
   for (NodeId step = 0; step < n; ++step) {
     // Move from the larger side (keeps the walk near balance); on ties
-    // prefer whichever side offers the better (fresh) gain.
-    int from;
-    if (part.side_size(0) != part.side_size(1)) {
-      from = part.side_size(0) > part.side_size(1) ? 0 : 1;
-    } else {
-      from = 0;
-    }
-    NodeId v = kInvalidNode;
-    if (gain_buckets) {
+    // start from side 0 and fall back to side 1 when it is exhausted.
+    int from = part.side_size(1) > part.side_size(0) ? 1 : 0;
+    NodeId v = gb[from].top();
+    if (v == kInvalidNode) {
+      from = 1 - from;
       v = gb[from].top();
-      if (v == kInvalidNode) {
-        from = 1 - from;
-        v = gb[from].top();
-      }
-      if (v == kInvalidNode) break;
-      gb[from].erase(v);
-    } else {
-      // Pop until a fresh, unlocked entry appears; fall back to the other
-      // side when this one is exhausted.
-      for (int attempt = 0; attempt < 2 && v == kInvalidNode; ++attempt) {
-        auto& q = pq[from];
-        while (!q.empty()) {
-          const auto [gain, cand] = q.top();
-          if (locked[cand] || part.side(cand) != from) {
-            q.pop();
-            continue;
-          }
-          if (gain != part.gain(cand)) {
-            q.pop();
-            q.emplace(part.gain(cand), cand);
-            continue;
-          }
-          v = cand;
-          break;
-        }
-        if (v == kInvalidNode) from = 1 - from;
-      }
-      if (v == kInvalidNode) break;
-      pq[from].pop();
     }
+    if (v == kInvalidNode) break;
+    gb[from].erase(v);
 
     part.move(v);
     locked[v] = 1;
     moves.push_back(v);
-    // Neighbors' gains changed; refresh them (buckets relink in place,
-    // the queues push fresh entries and skip stale ones on pop).
+    // Neighbors' gains changed; relink them in place.
     for (const NodeId w : g.neighbors(v)) {
-      if (locked[w]) continue;
-      if (gain_buckets) {
-        gb[part.side(w)].update(w, part.gain(w));
-      } else {
-        pq[part.side(w)].emplace(part.gain(w), w);
-      }
+      if (!locked[w]) gb[part.side(w)].update(w, part.gain(w));
     }
     if (part.is_bisection() && part.cut_capacity() < best_cap) {
       best_cap = part.cut_capacity();
@@ -230,7 +174,7 @@ CutResult min_bisection_fiduccia_mattheyses(
     Rng rng(sm.next());
     Partition part(g, random_balanced_sides(n, rng));
     for (std::uint32_t pass = 0; pass < opts.max_passes; ++pass) {
-      if (!fm_pass(part, opts.gain_buckets)) break;
+      if (!fm_pass(part)) break;
     }
     results[r].capacity = part.cut_capacity();
     results[r].sides = part.sides();
@@ -268,7 +212,7 @@ CutResult refine_fiduccia_mattheyses(const Graph& g,
   BFLY_CHECK(is_bisection(sides), "FM refinement needs a bisection start");
   Partition part(g, sides);
   for (std::uint32_t pass = 0; pass < max_passes; ++pass) {
-    if (!fm_pass(part, /*gain_buckets=*/true)) break;
+    if (!fm_pass(part)) break;
   }
   CutResult res;
   res.capacity = part.cut_capacity();

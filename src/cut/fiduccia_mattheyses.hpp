@@ -1,7 +1,7 @@
 // Fiduccia–Mattheyses-style bisection refinement: single-node moves with
-// balance control, lazy max-gain priority queues, one-move-per-node passes
-// with best-balanced-prefix rollback, random restarts. Scales to the
-// larger instances Kernighan–Lin's O(n^3) passes cannot handle.
+// balance control, a gain-bucket array per side (O(1) relink per gain
+// change, max gain with ties to the highest node id), one-move-per-node
+// passes with best-balanced-prefix rollback, random restarts.
 #pragma once
 
 #include <cstdint>
@@ -30,12 +30,6 @@ struct FiducciaMattheysesOptions {
   /// shared incumbent (one-way; never read back, so the result stays
   /// deterministic).
   IncumbentPublisher* incumbent = nullptr;
-  /// Candidate selection structure. true (default) = the classic FM
-  /// gain-bucket array with O(1) relinks per gain change; false = the
-  /// original lazy max-heaps, kept as the differential reference. Both
-  /// select max gain with ties to the highest node id, so the move
-  /// sequence — and therefore every capacity and witness — is identical.
-  bool gain_buckets = true;
 };
 
 [[nodiscard]] CutResult min_bisection_fiduccia_mattheyses(

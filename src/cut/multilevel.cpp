@@ -14,43 +14,83 @@ namespace bfly::cut {
 
 namespace {
 
-// One level of the multilevel hierarchy: a (multi)graph whose parallel
-// edges act as integer edge weights, integer node weights, and the map
-// from the finer level's nodes onto this one.
+// Weighted CSR graph: each row lists a node's distinct neighbors in
+// ascending order, co-indexed with the total weight of the edges to each
+// (on the input graph, the parallel-edge multiplicity). Rows stay sorted,
+// so every scan visits neighbors in the same first-occurrence order the
+// multigraph rows of core::Graph would.
+struct WeightedGraph {
+  std::vector<std::size_t> offsets{0};
+  std::vector<NodeId> adj;
+  std::vector<std::uint32_t> edge_weight;
+
+  [[nodiscard]] NodeId num_nodes() const {
+    return static_cast<NodeId>(offsets.size() - 1);
+  }
+  [[nodiscard]] std::size_t begin(NodeId v) const { return offsets[v]; }
+  [[nodiscard]] std::size_t end(NodeId v) const { return offsets[v + 1]; }
+};
+
+WeightedGraph to_weighted(const Graph& g) {
+  WeightedGraph wg;
+  wg.offsets.reserve(g.num_nodes() + 1);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const std::size_t row = wg.adj.size();
+    for (const NodeId u : g.neighbors(v)) {
+      if (wg.adj.size() > row && wg.adj.back() == u) {
+        ++wg.edge_weight.back();  // sorted row: parallel edges are adjacent
+      } else {
+        wg.adj.push_back(u);
+        wg.edge_weight.push_back(1);
+      }
+    }
+    wg.offsets.push_back(wg.adj.size());
+  }
+  return wg;
+}
+
+// Total weight of the edges crossing the cut.
+std::size_t weighted_cut(const WeightedGraph& g,
+                         const std::vector<std::uint8_t>& sides) {
+  std::size_t cut = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (std::size_t i = g.begin(v); i < g.end(v); ++i) {
+      const NodeId u = g.adj[i];
+      if (u > v && sides[u] != sides[v]) cut += g.edge_weight[i];
+    }
+  }
+  return cut;
+}
+
+// One level of the multilevel hierarchy: a weighted graph, integer node
+// weights, and the map from the finer level's nodes onto this one.
 struct Level {
-  Graph graph;
+  WeightedGraph graph;
   std::vector<std::uint32_t> node_weight;
   std::vector<NodeId> parent;  // finer node -> this level's node
 };
 
 // Heavy-edge matching: visit nodes in random order; match each unmatched
-// node with the unmatched neighbor of maximum connection multiplicity.
-Level coarsen(const Graph& g, const std::vector<std::uint32_t>& weight,
-              Rng& rng) {
+// node with the unmatched neighbor of maximum connecting edge weight.
+Level coarsen(const WeightedGraph& g,
+              const std::vector<std::uint32_t>& weight, Rng& rng) {
   const NodeId n = g.num_nodes();
   std::vector<NodeId> order(n);
   std::iota(order.begin(), order.end(), 0);
   shuffle(order, rng);
 
   std::vector<NodeId> mate(n, kInvalidNode);
-  std::vector<std::uint32_t> conn(n, 0);  // scratch: multiplicity to v
-  std::vector<NodeId> touched;
   for (const NodeId v : order) {
     if (mate[v] != kInvalidNode) continue;
-    touched.clear();
-    for (const NodeId u : g.neighbors(v)) {
-      if (mate[u] != kInvalidNode || u == v) continue;
-      if (conn[u] == 0) touched.push_back(u);
-      ++conn[u];
-    }
     NodeId best = kInvalidNode;
     std::uint32_t best_conn = 0;
-    for (const NodeId u : touched) {
-      if (conn[u] > best_conn) {
-        best_conn = conn[u];
+    for (std::size_t i = g.begin(v); i < g.end(v); ++i) {
+      const NodeId u = g.adj[i];
+      if (mate[u] != kInvalidNode || u == v) continue;
+      if (g.edge_weight[i] > best_conn) {
+        best_conn = g.edge_weight[i];
         best = u;
       }
-      conn[u] = 0;
     }
     if (best != kInvalidNode) {
       mate[v] = best;
@@ -62,31 +102,53 @@ Level coarsen(const Graph& g, const std::vector<std::uint32_t>& weight,
 
   Level level;
   level.parent.assign(n, kInvalidNode);
-  NodeId coarse_n = 0;
+  std::vector<NodeId> first;  // coarse node -> its first fine member
   for (const NodeId v : order) {
     if (level.parent[v] != kInvalidNode) continue;
-    const NodeId m = mate[v];
-    level.parent[v] = coarse_n;
-    level.parent[m] = coarse_n;  // m == v for singletons
-    ++coarse_n;
+    const auto c = static_cast<NodeId>(first.size());
+    level.parent[v] = c;
+    level.parent[mate[v]] = c;  // mate == v for singletons
+    first.push_back(v);
   }
+  const auto coarse_n = static_cast<NodeId>(first.size());
   level.node_weight.assign(coarse_n, 0);
   for (NodeId v = 0; v < n; ++v) {
     level.node_weight[level.parent[v]] += weight[v];
   }
-  GraphBuilder gb(coarse_n);
-  for (const auto& [a, b] : g.edges()) {
-    const NodeId ca = level.parent[a], cb = level.parent[b];
-    if (ca != cb) gb.add_edge(ca, cb);  // parallels accumulate as weight
+
+  // Coarse rows: accumulate each member's edge weights per coarse
+  // neighbor, then emit the row in ascending neighbor order.
+  WeightedGraph& cg = level.graph;
+  cg.offsets.reserve(coarse_n + 1);
+  std::vector<std::uint32_t> acc(coarse_n, 0);
+  std::vector<NodeId> touched;
+  for (NodeId c = 0; c < coarse_n; ++c) {
+    touched.clear();
+    const auto accumulate = [&](NodeId member) {
+      for (std::size_t i = g.begin(member); i < g.end(member); ++i) {
+        const NodeId cu = level.parent[g.adj[i]];
+        if (cu == c) continue;  // internal edge of the matched pair
+        if (acc[cu] == 0) touched.push_back(cu);
+        acc[cu] += g.edge_weight[i];
+      }
+    };
+    accumulate(first[c]);
+    if (mate[first[c]] != first[c]) accumulate(mate[first[c]]);
+    std::sort(touched.begin(), touched.end());
+    for (const NodeId cu : touched) {
+      cg.adj.push_back(cu);
+      cg.edge_weight.push_back(acc[cu]);
+      acc[cu] = 0;
+    }
+    cg.offsets.push_back(cg.adj.size());
   }
-  level.graph = std::move(gb).build();
   return level;
 }
 
 // Weighted FM pass with best-balanced-prefix rollback. Balance: both
 // side weights within ceil(W/2) + slack, where slack is the heaviest
 // node (coarse nodes cannot split).
-bool weighted_fm_pass(const Graph& g,
+bool weighted_fm_pass(const WeightedGraph& g,
                       const std::vector<std::uint32_t>& weight,
                       std::vector<std::uint8_t>& sides,
                       std::uint64_t slack) {
@@ -100,13 +162,13 @@ bool weighted_fm_pass(const Graph& g,
 
   const auto gain = [&](NodeId v) {
     std::int64_t cross = 0, same = 0;
-    for (const NodeId u : g.neighbors(v)) {
-      (sides[u] == sides[v] ? same : cross) += 1;
+    for (std::size_t i = g.begin(v); i < g.end(v); ++i) {
+      (sides[g.adj[i]] == sides[v] ? same : cross) += g.edge_weight[i];
     }
     return cross - same;
   };
 
-  std::size_t cut = cut_capacity(g, sides);
+  std::size_t cut = weighted_cut(g, sides);
   const std::size_t start_cut = cut;
 
   using Entry = std::pair<std::int64_t, NodeId>;
@@ -158,7 +220,8 @@ bool weighted_fm_pass(const Graph& g,
     sides[v] ^= 1;
     locked[v] = 1;
     moves.push_back(v);
-    for (const NodeId u : g.neighbors(v)) {
+    for (std::size_t i = g.begin(v); i < g.end(v); ++i) {
+      const NodeId u = g.adj[i];
       if (!locked[u]) pq[sides[u]].emplace(gain(u), u);
     }
     if (balanced() && cut < best_cut) {
@@ -180,7 +243,7 @@ bool weighted_fm_pass(const Graph& g,
   }
   // After rolling back to the kept prefix, the tracked cut value must
   // agree with a from-scratch recount of the surviving side vector.
-  BFLY_ASSERT_MSG(cut_capacity(g, sides) ==
+  BFLY_ASSERT_MSG(weighted_cut(g, sides) ==
                       (keep ? best_cut : start_cut),
                   "weighted FM cut tracking drifted from recount");
   return keep;
@@ -188,7 +251,7 @@ bool weighted_fm_pass(const Graph& g,
 
 // Greedy region growing on the coarsest graph: BFS from a random seed,
 // absorbing nodes until half the total weight is reached.
-std::vector<std::uint8_t> grow_initial(const Graph& g,
+std::vector<std::uint8_t> grow_initial(const WeightedGraph& g,
                                        const std::vector<std::uint32_t>& w,
                                        Rng& rng) {
   const NodeId n = g.num_nodes();
@@ -207,7 +270,8 @@ std::vector<std::uint8_t> grow_initial(const Graph& g,
     q.pop();
     sides[v] = 0;
     grown += w[v];
-    for (const NodeId u : g.neighbors(v)) {
+    for (std::size_t i = g.begin(v); i < g.end(v); ++i) {
+      const NodeId u = g.adj[i];
       if (!seen[u]) {
         seen[u] = 1;
         q.push(u);
@@ -230,11 +294,12 @@ CutResult min_bisection_multilevel(const Graph& g,
   best.exactness = Exactness::kHeuristic;
   best.method = "multilevel";
 
+  const WeightedGraph input = to_weighted(g);
   for (std::uint32_t cycle = 0; cycle < std::max(1u, opts.cycles); ++cycle) {
     if (opts.cancel != nullptr && opts.cancel->stop_requested()) break;
     // --- coarsen ---------------------------------------------------
     std::vector<Level> hierarchy;
-    const Graph* cur = &g;
+    const WeightedGraph* cur = &input;
     std::vector<std::uint32_t> cur_weight(n, 1);
     while (cur->num_nodes() > opts.coarsen_to) {
       Level level = coarsen(*cur, cur_weight, rng);
@@ -245,7 +310,8 @@ CutResult min_bisection_multilevel(const Graph& g,
     }
 
     // --- initial partition on the coarsest graph -------------------
-    const Graph& coarsest = hierarchy.empty() ? g : hierarchy.back().graph;
+    const WeightedGraph& coarsest =
+        hierarchy.empty() ? input : hierarchy.back().graph;
     if (hierarchy.empty()) cur_weight.assign(n, 1);
     const std::vector<std::uint32_t>& cw = cur_weight;
     const std::uint32_t max_w = *std::max_element(cw.begin(), cw.end());
@@ -257,7 +323,7 @@ CutResult min_bisection_multilevel(const Graph& g,
       for (std::uint32_t p = 0; p < opts.refine_passes; ++p) {
         if (!weighted_fm_pass(coarsest, cw, cand, max_w)) break;
       }
-      const std::size_t c = cut_capacity(coarsest, cand);
+      const std::size_t c = weighted_cut(coarsest, cand);
       if (c < sides_cut) {
         sides_cut = c;
         sides = std::move(cand);
@@ -267,8 +333,8 @@ CutResult min_bisection_multilevel(const Graph& g,
     // --- uncoarsen + refine ----------------------------------------
     for (std::size_t lev = hierarchy.size(); lev-- > 0;) {
       const Level& level = hierarchy[lev];
-      const Graph& fine =
-          lev == 0 ? g : hierarchy[lev - 1].graph;
+      const WeightedGraph& fine =
+          lev == 0 ? input : hierarchy[lev - 1].graph;
       std::vector<std::uint8_t> fine_sides(fine.num_nodes());
       for (NodeId v = 0; v < fine.num_nodes(); ++v) {
         fine_sides[v] = sides[level.parent[v]];
@@ -289,7 +355,7 @@ CutResult min_bisection_multilevel(const Graph& g,
     if (!is_bisection(sides)) {
       std::vector<std::uint32_t> unit(n, 1);
       for (std::uint32_t p = 0; p < opts.refine_passes; ++p) {
-        weighted_fm_pass(g, unit, sides, 0);
+        weighted_fm_pass(input, unit, sides, 0);
         if (is_bisection(sides)) break;
       }
     }

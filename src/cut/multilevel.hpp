@@ -2,9 +2,14 @@
 // greedy region-growing initial partitions on the coarsest graph, and
 // weighted FM refinement during uncoarsening.
 //
+// Every level, the input included, is a weighted CSR graph: each row
+// holds a node's distinct neighbors in ascending order with the summed
+// weight of the edges to each (parallel input edges become one weighted
+// edge). Coarse nodes carry the summed weight of the nodes they absorb.
+//
 // This is the practical workhorse for partitioning the larger butterfly
-// instances (B1024 and up) where flat KL/FM from random starts becomes
-// slow or unreliable; on the paper's families it routinely recovers the
+// instances (B1024 and up) where flat FM from random starts becomes slow
+// or unreliable; on the paper's families it routinely recovers the
 // folklore-optimal cuts in milliseconds.
 #pragma once
 

@@ -36,7 +36,9 @@ PortfolioSeeds derive_portfolio_seeds(std::uint64_t master_seed) {
   s.spectral = sm.next();
   s.multilevel = sm.next();
   s.fm = sm.next();
-  s.kl = sm.next();
+  // The fourth draw seeded the removed Kernighan–Lin solver; it is still
+  // consumed so that sa's seed, and every SA result, stays unchanged.
+  (void)sm.next();
   s.sa = sm.next();
   return s;
 }
@@ -96,17 +98,6 @@ PortfolioResult min_bisection_portfolio(const Graph& g,
                        FiducciaMattheysesOptions local = o;
                        local.incumbent = &pub;
                        return min_bisection_fiduccia_mattheyses(g, local);
-                     }});
-  }
-  {
-    KernighanLinOptions o = opts.kl;
-    o.seed = seeds.kl;
-    o.cancel = &token;
-    tasks.push_back({"kl", std::max(1u, o.restarts),
-                     [&g, o](IncumbentPublisher& pub) {
-                       KernighanLinOptions local = o;
-                       local.incumbent = &pub;
-                       return min_bisection_kernighan_lin(g, local);
                      }});
   }
   {

@@ -1,6 +1,6 @@
 // Parallel portfolio bisection solver.
 //
-// Races the library's heuristic engines (spectral+FM, multilevel, FM, KL,
+// Races the library's heuristic engines (spectral+FM, multilevel, FM,
 // SA) and optionally the exact branch-and-bound engine on the same graph,
 // with bounded concurrency. The solvers cooperate through two channels:
 //
@@ -38,7 +38,6 @@
 #include "cut/bisection.hpp"
 #include "cut/branch_bound.hpp"
 #include "cut/fiduccia_mattheyses.hpp"
-#include "cut/kernighan_lin.hpp"
 #include "cut/multilevel.hpp"
 #include "cut/simulated_annealing.hpp"
 #include "cut/spectral_bisection.hpp"
@@ -53,7 +52,6 @@ struct PortfolioSeeds {
   std::uint64_t spectral = 0;
   std::uint64_t multilevel = 0;
   std::uint64_t fm = 0;
-  std::uint64_t kl = 0;
   std::uint64_t sa = 0;
 };
 
@@ -80,7 +78,6 @@ struct PortfolioOptions {
   /// Per-solver tuning. The seed fields (and fm.num_threads, which is
   /// forced to 1 — the portfolio already owns the parallelism) are
   /// overridden; cancel/incumbent hooks are installed by the portfolio.
-  KernighanLinOptions kl;
   FiducciaMattheysesOptions fm;
   SimulatedAnnealingOptions sa;
   MultilevelOptions multilevel;

@@ -7,7 +7,6 @@
 #include "cut/brute_force.hpp"
 #include "cut/constructive.hpp"
 #include "cut/fiduccia_mattheyses.hpp"
-#include "cut/kernighan_lin.hpp"
 #include "cut/simulated_annealing.hpp"
 #include "cut/spectral_bisection.hpp"
 #include "topology/butterfly.hpp"
@@ -27,7 +26,6 @@ void expect_valid(const Graph& g, const CutResult& r) {
 
 TEST(Heuristics, AllValidOnButterfly) {
   const topo::Butterfly bf(8);
-  expect_valid(bf.graph(), min_bisection_kernighan_lin(bf.graph()));
   expect_valid(bf.graph(), min_bisection_fiduccia_mattheyses(bf.graph()));
   expect_valid(bf.graph(), min_bisection_simulated_annealing(bf.graph()));
   expect_valid(bf.graph(), min_bisection_spectral(bf.graph()));
@@ -36,7 +34,6 @@ TEST(Heuristics, AllValidOnButterfly) {
 TEST(Heuristics, MatchExactOnSmallButterfly) {
   const topo::Butterfly bf(4);
   const auto exact = min_bisection_exhaustive(bf.graph()).capacity;
-  EXPECT_EQ(min_bisection_kernighan_lin(bf.graph()).capacity, exact);
   EXPECT_EQ(min_bisection_fiduccia_mattheyses(bf.graph()).capacity, exact);
   EXPECT_EQ(min_bisection_simulated_annealing(bf.graph()).capacity, exact);
 }
@@ -45,7 +42,6 @@ TEST(Heuristics, FindOptimumOnW8) {
   // BW(W8) = 8; the heuristics should find a cut of that capacity.
   const topo::WrappedButterfly wb(8);
   EXPECT_EQ(min_bisection_fiduccia_mattheyses(wb.graph()).capacity, 8u);
-  EXPECT_EQ(min_bisection_kernighan_lin(wb.graph()).capacity, 8u);
 }
 
 TEST(Heuristics, FindOptimumOnCCC8) {

@@ -11,7 +11,6 @@
 #include "cut/brute_force.hpp"
 #include "cut/constructive.hpp"
 #include "cut/fiduccia_mattheyses.hpp"
-#include "cut/kernighan_lin.hpp"
 #include "cut/mos_theory.hpp"
 #include "cut/multilevel.hpp"
 #include "cut/simulated_annealing.hpp"
@@ -39,8 +38,7 @@ Graph gnp(NodeId n, double p, std::uint64_t seed) {
 std::vector<cut::CutResult> run_all_heuristics(const Graph& g,
                                                std::uint64_t seed) {
   SplitMix64 sm(seed);
-  cut::KernighanLinOptions kl;
-  kl.seed = sm.next();
+  (void)sm.next();  // keeps the later seeds where they were
   cut::FiducciaMattheysesOptions fm;
   fm.seed = sm.next();
   cut::SimulatedAnnealingOptions sa;
@@ -50,8 +48,7 @@ std::vector<cut::CutResult> run_all_heuristics(const Graph& g,
   ml.seed = sm.next();
   cut::SpectralBisectionOptions sp;
   sp.seed = sm.next();
-  return {cut::min_bisection_kernighan_lin(g, kl),
-          cut::min_bisection_fiduccia_mattheyses(g, fm),
+  return {cut::min_bisection_fiduccia_mattheyses(g, fm),
           cut::min_bisection_simulated_annealing(g, sa),
           cut::min_bisection_multilevel(g, ml),
           cut::min_bisection_spectral(g, sp)};

@@ -8,7 +8,6 @@
 #include "cut/branch_bound.hpp"
 #include "cut/brute_force.hpp"
 #include "cut/fiduccia_mattheyses.hpp"
-#include "cut/kernighan_lin.hpp"
 #include "cut/multilevel.hpp"
 #include "cut/simulated_annealing.hpp"
 #include "expansion/expansion.hpp"
@@ -41,8 +40,7 @@ TEST_P(SolverFuzz, HeuristicsNeverBeatExhaustiveAndBnBMatchesIt) {
   const auto bb = cut::min_bisection_branch_bound(g);
   ASSERT_EQ(bb.capacity, exact.capacity);
 
-  for (const auto& r : {cut::min_bisection_kernighan_lin(g),
-                        cut::min_bisection_fiduccia_mattheyses(g),
+  for (const auto& r : {cut::min_bisection_fiduccia_mattheyses(g),
                         cut::min_bisection_simulated_annealing(g),
                         cut::min_bisection_multilevel(g)}) {
     ASSERT_GE(r.capacity, exact.capacity) << r.method;
