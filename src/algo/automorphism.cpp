@@ -109,22 +109,6 @@ std::vector<std::vector<NodeId>> PermutationGroup::vertex_orbits() const {
   return orbits;
 }
 
-std::vector<std::uint64_t> PermutationGroup::mask_orbit(
-    std::uint64_t mask) const {
-  BFLY_CHECK(n_ <= 64, "mask orbits need degree <= 64");
-  std::set<std::uint64_t> seen{mask};
-  std::vector<std::uint64_t> frontier{mask};
-  while (!frontier.empty()) {
-    const std::uint64_t m = frontier.back();
-    frontier.pop_back();
-    for (const Perm& gen : gens_) {
-      const std::uint64_t im = apply_to_mask(gen, m);
-      if (seen.insert(im).second) frontier.push_back(im);
-    }
-  }
-  return {seen.begin(), seen.end()};
-}
-
 const std::vector<Perm>* PermutationGroup::elements(
     std::size_t max_elements) const {
   if (!elements_.empty()) {

@@ -9,9 +9,9 @@
 // transposition table, and the sharded expansion sweep enumerates only
 // orbit representatives of its shard prefixes. This module is the
 // group-theory substrate: permutation arithmetic, automorphism
-// verification, Schreier-style orbit computation on vertices and on
-// small (<= 64-node) vertex subsets, and bounded enumeration of the
-// full element closure for canonicalization.
+// verification, Schreier-style orbit computation on vertices, and
+// bounded enumeration of the full element closure, from which every
+// consumer canonicalizes (<= 64-node) subsets as the least image.
 //
 // A permutation is stored one-line: p[v] is the image of v. Topology
 // classes export generator sets (automorphism_generators()); the
@@ -76,11 +76,6 @@ class PermutationGroup {
   /// Partition of [0, degree) into orbits, each sorted, ordered by
   /// smallest member.
   [[nodiscard]] std::vector<std::vector<NodeId>> vertex_orbits() const;
-
-  /// Orbit of a <= 64-node subset mask under the group (sorted
-  /// ascending as integers). degree() must be <= 64.
-  [[nodiscard]] std::vector<std::uint64_t> mask_orbit(
-      std::uint64_t mask) const;
 
   /// The full element list (identity included), enumerated by closure
   /// over the generators and cached. Returns nullptr — without caching

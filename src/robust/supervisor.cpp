@@ -20,6 +20,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Checkpoint cadence of the exact step: a snapshot reaches the disk
+/// only once this much time has passed since the solve began and since
+/// the previous write. A solve shorter than this never touches the
+/// disk; a kill, or a deadline, loses at most this much completed work
+/// to the next process.
+constexpr auto kCheckpointInterval = std::chrono::milliseconds(50);
+
 double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
@@ -202,20 +209,26 @@ SolveReport Supervisor::solve_bisection(const Graph& g) const {
   const bool checkpointing =
       !opts_.checkpoint_path.empty() && !g.has_parallel_edges();
   const std::uint64_t fp = checkpointing ? graph_fingerprint(g) : 0;
+  // What the next exact attempt resumes from: a snapshot an earlier
+  // process left on disk, then whatever the last attempt reached.
   cut::BranchBoundSearchState resume_state;
   bool have_resume = false;
-  auto reload_snapshot = [&] {
-    if (!checkpointing || !snapshot_exists(opts_.checkpoint_path)) return;
+  if (checkpointing && snapshot_exists(opts_.checkpoint_path)) {
     try {
-      BisectionSnapshot snap = load_snapshot(opts_.checkpoint_path, fp);
-      resume_state = std::move(snap.state);
+      resume_state = load_snapshot(opts_.checkpoint_path, fp).state;
       have_resume = true;
     } catch (const SnapshotError&) {
       // Stale, foreign, or corrupt snapshot: solve from scratch rather
       // than resume into garbage. The next checkpoint overwrites it.
-      have_resume = false;
     }
-  };
+  }
+  // The checkpoint sink's own copy of the latest state (never the state
+  // the running engine resumed from), and when it last reached the disk.
+  // Calls into the sink are serialized and end before the engine
+  // returns or throws, so the attempt loop reads these race-free.
+  cut::BranchBoundSearchState latest;
+  bool have_latest = false;
+  Clock::time_point last_write = clock.t0;
 
   // Accepts a candidate result; keeps the best-known cut with honest
   // provenance. Returns true when the candidate became the best.
@@ -268,22 +281,29 @@ SolveReport Supervisor::solve_bisection(const Graph& g) const {
             bo.progress = &progress;
             if (step == 1) bo.node_limit = opts_.budgeted_exact_nodes;
             if (step == 0 && checkpointing) {
-              // A crash-retry resumes from whatever the previous
-              // attempt last wrote, not from a stale in-memory copy.
-              reload_snapshot();
+              // A crash- or stall-retry resumes from the state the
+              // previous attempt last reached, held in memory.
+              if (have_latest) {
+                resume_state = latest;
+                have_resume = true;
+              }
               if (have_resume) {
                 bo.resume = &resume_state;
                 rep.resumed = true;
               }
-              bo.on_checkpoint =
-                  [this, fp](const cut::BranchBoundSearchState& st) {
-                    try {
-                      save_snapshot(opts_.checkpoint_path, {fp, st});
-                    } catch (const SnapshotError&) {
-                      // Checkpointing is best-effort; a full disk must
-                      // not kill an otherwise healthy solve.
-                    }
-                  };
+              bo.on_checkpoint = [&](const cut::BranchBoundSearchState& st) {
+                latest = st;
+                have_latest = true;
+                const Clock::time_point now = Clock::now();
+                if (now - last_write < kCheckpointInterval) return;
+                last_write = now;
+                try {
+                  save_snapshot(opts_.checkpoint_path, {fp, latest});
+                } catch (const SnapshotError&) {
+                  // Checkpointing is best-effort; a full disk must not
+                  // kill an otherwise healthy solve.
+                }
+              };
             }
             r = cut::min_bisection_branch_bound(g, bo);
             break;

@@ -11,8 +11,8 @@
 //   * a heartbeat watchdog — solvers publish their pooled node count
 //     into a progress cell at their flush cadence; a watchdog thread
 //     that sees the cell freeze for stall_timeout_ms cancels the
-//     attempt, and the retry (resuming from the last checkpoint)
-//     effectively replaces the stalled workers;
+//     attempt, and the retry (resuming from the last checkpointed
+//     state) effectively replaces the stalled workers;
 //   * bounded retry with exponential backoff around transient failures
 //     (std::bad_alloc, injected faults, simulated crashes) — never
 //     around PreconditionError, which is a bug, not weather;
@@ -21,9 +21,11 @@
 //     best-known CutResult with honest provenance instead of an
 //     exception;
 //   * checkpoint/resume through robust/checkpoint: the exact step
-//     snapshots its search state after every seed-prefix subtree, and
-//     a rerun (same process after a crash-retry, or a fresh process
-//     after SIGTERM) resumes to the identical optimum and bound.
+//     keeps its latest search state (taken after every seed-prefix
+//     subtree) in memory, where a crash- or stall-retry in the same
+//     process resumes from it, and writes it to disk on a 50 ms
+//     cadence, where a fresh process after SIGTERM or SIGKILL resumes
+//     it — each to the identical optimum and bound.
 //
 // Every report says what actually happened: which ladder step produced
 // the answer, how many retries and faults it took, whether a stall was
@@ -84,8 +86,10 @@ struct SupervisorOptions {
   double heartbeat_interval_ms = 25.0;
   double stall_timeout_ms = 0.0;
   /// Snapshot file for the exact step (empty = checkpointing off). An
-  /// existing valid snapshot for the same graph is resumed; a completed
-  /// solve removes the file.
+  /// existing valid snapshot for the same graph is resumed. The file is
+  /// written no sooner than 50 ms after the solve began and 50 ms after
+  /// its previous write, so a short solve never touches the disk; a
+  /// completed solve removes the file.
   std::filesystem::path checkpoint_path;
   /// Worker threads for the underlying engines (1 = serial and fully
   /// deterministic, 0 = default_thread_count()).

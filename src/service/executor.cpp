@@ -5,7 +5,6 @@
 #include <future>
 #include <utility>
 
-#include "expansion/expansion.hpp"
 #include "robust/fault_injection.hpp"
 #include "robust/wire.hpp"
 
@@ -134,7 +133,11 @@ void Service::query_async(Request req, std::function<void(Response)> done) {
       return;
     }
   }
-  party.key = canonical_key(r);
+  const std::uint64_t canon_mask =
+      r.kind == QueryKind::kBoundary
+          ? canonical_mask(r.family, r.n, r.subset_mask)
+          : 0;
+  party.key = canonical_key(r, canon_mask);
   const bool want_exact = r.policy == Policy::kExact;
 
   // Fast path, inline on the submitting thread: hits (and cheap
@@ -154,18 +157,13 @@ void Service::query_async(Request req, std::function<void(Response)> done) {
   }
 
   if (r.kind == QueryKind::kBoundary) {
-    const Graph g = build_graph(r.family, r.n);
-    std::vector<NodeId> set;
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (((r.subset_mask >> v) & 1u) != 0) set.push_back(v);
-    }
     CacheEntry entry;
     entry.key = party.key;
     entry.kind = r.kind;
     entry.family = r.family;
     entry.n = r.n;
-    entry.mask = canonical_mask(r.family, r.n, r.subset_mask);
-    entry.value = expansion::edge_boundary(g, set);
+    entry.mask = canon_mask;
+    entry.value = subset_edge_boundary(r.family, r.n, r.subset_mask);
     entry.exact = true;  // a boundary count is a count, not a bound
     if (cache_.insert(entry) == ServiceCache::InsertOutcome::kPersistFailed) {
       counters_.persist_failures.fetch_add(1);

@@ -1,13 +1,17 @@
 #include "service/request.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cstdio>
 #include <limits>
+#include <mutex>
 #include <vector>
 
 #include "core/error.hpp"
+#include "expansion/expansion.hpp"
 #include "robust/wire.hpp"
 #include "topology/butterfly.hpp"
 #include "topology/ccc.hpp"
@@ -33,6 +37,10 @@ namespace {
 constexpr std::uint64_t kMaxNodes = 4096;
 constexpr std::uint64_t kMaxBoundaryNodes = 64;
 constexpr std::size_t kMaxIdChars = 64;
+
+/// Element-list cap for the BOUNDARY instances: the largest group among
+/// them is Q64's, 2^6 * 6! = 46,080 elements.
+constexpr std::size_t kMaxBoundaryGroupOrder = 46'080;
 
 [[nodiscard]] bool id_char_ok(char c) {
   return (std::isalnum(static_cast<unsigned char>(c)) != 0) || c == '.' ||
@@ -225,26 +233,85 @@ algo::PermutationGroup automorphism_group(Family family, std::uint32_t n) {
   return {};
 }
 
-std::uint64_t canonical_mask(Family family, std::uint32_t n,
-                             std::uint64_t mask) {
-  BFLY_ASSERT(instance_nodes(family, n) <= 64);
-  const algo::PermutationGroup group = automorphism_group(family, n);
-  const std::vector<std::uint64_t> orbit = group.mask_orbit(mask);
-  BFLY_ASSERT(!orbit.empty());
-  return orbit.front();  // sorted ascending: front is the lex-min
+namespace {
+
+/// What BOUNDARY queries need of one <= 64-node instance, built once per
+/// process: the graph and the automorphism group's full element list,
+/// flat as one-byte images (element e maps v to images[e * nodes + v]).
+struct BoundaryInstance {
+  std::once_flag once;
+  NodeId nodes = 0;
+  Graph graph;
+  std::vector<std::uint8_t> images;
+};
+
+const BoundaryInstance& boundary_instance(Family family, std::uint32_t n) {
+  BFLY_CHECK(valid_instance(family, n) &&
+                 instance_nodes(family, n) <= kMaxBoundaryNodes,
+             "boundary queries need a valid <= 64-node instance");
+  // Indexed by (family, log2 n): n <= 64 on every <= 64-node instance.
+  static std::array<std::array<BoundaryInstance, 7>, 4> table;
+  BoundaryInstance& slot =
+      table[static_cast<std::size_t>(family)][log2_u32(n)];
+  std::call_once(slot.once, [&slot, family, n] {
+    const algo::PermutationGroup group = automorphism_group(family, n);
+    const std::vector<algo::Perm>* elements =
+        group.elements(kMaxBoundaryGroupOrder);
+    BFLY_CHECK(elements != nullptr,
+               "automorphism group exceeds the canonicalization cap");
+    slot.nodes = group.degree();
+    slot.images.reserve(elements->size() * slot.nodes);
+    for (const algo::Perm& p : *elements) {
+      slot.images.insert(slot.images.end(), p.begin(), p.end());
+    }
+    slot.graph = build_graph(family, n);
+  });
+  return slot;
 }
 
-std::uint64_t canonical_key(const Request& r) {
+}  // namespace
+
+std::uint64_t canonical_mask(Family family, std::uint32_t n,
+                             std::uint64_t mask) {
+  const BoundaryInstance& inst = boundary_instance(family, n);
+  // The orbit is the set of images of the mask under every element (the
+  // identity among them), so its lex-min is the least image.
+  std::uint64_t best = mask;
+  for (std::size_t off = 0; off < inst.images.size(); off += inst.nodes) {
+    const std::uint8_t* image = inst.images.data() + off;
+    std::uint64_t out = 0;
+    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+      out |= std::uint64_t{1} << image[std::countr_zero(m)];
+    }
+    best = std::min(best, out);
+  }
+  return best;
+}
+
+std::uint64_t subset_edge_boundary(Family family, std::uint32_t n,
+                                   std::uint64_t mask) {
+  std::vector<NodeId> set;
+  for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+    set.push_back(static_cast<NodeId>(std::countr_zero(m)));
+  }
+  return expansion::edge_boundary(boundary_instance(family, n).graph, set);
+}
+
+std::uint64_t canonical_key(const Request& r, std::uint64_t canon_mask) {
   namespace wire = robust::wire;
   std::uint64_t h = wire::kFnvOffset;
   h = wire::fnv1a_u64(h, 0x42464c59u);  // 'BFLY' domain tag
   h = wire::fnv1a_u64(h, static_cast<std::uint64_t>(r.kind));
   h = wire::fnv1a_u64(h, static_cast<std::uint64_t>(r.family));
   h = wire::fnv1a_u64(h, r.n);
-  if (r.kind == QueryKind::kBoundary) {
-    h = wire::fnv1a_u64(h, canonical_mask(r.family, r.n, r.subset_mask));
-  }
+  if (r.kind == QueryKind::kBoundary) h = wire::fnv1a_u64(h, canon_mask);
   return h;
+}
+
+std::uint64_t canonical_key(const Request& r) {
+  return canonical_key(r, r.kind == QueryKind::kBoundary
+                              ? canonical_mask(r.family, r.n, r.subset_mask)
+                              : 0);
 }
 
 Request parse_request(std::string_view line) {

@@ -5,8 +5,9 @@
 // the quantity wanted (bisection width, or the edge boundary of a
 // subset), a solver policy, and budgets. The cache key is canonical
 // under the instance's automorphism group: BOUNDARY masks are replaced
-// by the lexicographically smallest member of their orbit (the same
-// PermutationGroup machinery the symmetry-pruned exact search uses), so
+// by the lexicographically smallest member of their orbit, the least
+// image under the group's element list (built once per process per
+// instance, as the symmetry-pruned exact search builds its own), so
 // queries identical up to symmetry share one cache entry and one
 // in-flight computation.
 //
@@ -109,7 +110,7 @@ inline constexpr std::size_t kMaxLineBytes = 4096;
 /// True when (family, n) names an instance the service will solve:
 /// n a power of two within the family's domain, and the node count
 /// within the service ceiling (4096 nodes; 64 for BOUNDARY queries,
-/// which need the <= 64-node mask-orbit canonicalizer).
+/// whose masks are one 64-bit word).
 [[nodiscard]] bool valid_instance(Family family, std::uint32_t n);
 [[nodiscard]] std::uint64_t instance_nodes(Family family, std::uint32_t n);
 
@@ -122,9 +123,19 @@ inline constexpr std::size_t kMaxLineBytes = 4096;
                                                         std::uint32_t n);
 
 /// Lexicographically smallest member of the mask's orbit under the
-/// instance's automorphism group. Requires instance_nodes <= 64.
+/// instance's automorphism group: the least image of the mask over the
+/// group's elements, enumerated on the instance's first use and kept
+/// for the life of the process (thread-safe). Requires
+/// instance_nodes <= 64.
 [[nodiscard]] std::uint64_t canonical_mask(Family family, std::uint32_t n,
                                            std::uint64_t mask);
+
+/// Number of instance edges with exactly one end in the mask, counted
+/// on the instance graph kept alongside the element list. Requires
+/// instance_nodes <= 64.
+[[nodiscard]] std::uint64_t subset_edge_boundary(Family family,
+                                                 std::uint32_t n,
+                                                 std::uint64_t mask);
 
 /// Canonical cache key: FNV over (kind, family, n) plus, for BOUNDARY,
 /// the canonical mask — so symmetric queries collide by construction.
@@ -132,6 +143,11 @@ inline constexpr std::size_t kMaxLineBytes = 4096;
 /// value with its exactness flag, and exact-policy lookups simply skip
 /// non-exact entries.
 [[nodiscard]] std::uint64_t canonical_key(const Request& r);
+
+/// canonical_key for a caller that already holds the BOUNDARY request's
+/// canonical_mask (ignored for BW).
+[[nodiscard]] std::uint64_t canonical_key(const Request& r,
+                                          std::uint64_t canon_mask);
 
 /// Parses one protocol line:
 ///

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <thread>
 #include <filesystem>
@@ -21,6 +22,7 @@
 #include "robust/fault_injection.hpp"
 #include "robust/supervisor.hpp"
 #include "topology/butterfly.hpp"
+#include "topology/wrapped_butterfly.hpp"
 
 namespace bfly {
 namespace {
@@ -467,6 +469,113 @@ TEST(Supervisor, CrashRetryResumesFromCheckpointAndProvesOptimal) {
   EXPECT_EQ(rep.degradation_step, 0u);
   // A completed exact solve cleans its snapshot up.
   EXPECT_FALSE(robust::snapshot_exists(so.checkpoint_path));
+}
+
+// The supervisor writes the exact step's snapshot at most once per
+// checkpoint interval (50 ms, kCheckpointInterval in supervisor.cpp),
+// and never before the solve is that old.
+constexpr double kCheckpointIntervalMs = 50.0;
+
+// Watches a checkpoint directory from a second thread for as long as it
+// lives: did anything appear in it, and did the snapshot file ever load
+// as a valid snapshot of the expected graph?
+class CheckpointDirWatcher {
+ public:
+  CheckpointDirWatcher(std::filesystem::path dir, std::filesystem::path snap,
+                       std::uint64_t fingerprint)
+      : dir_(std::move(dir)), snap_(std::move(snap)), fp_(fingerprint) {
+    thread_ = std::thread([this] { run(); });
+  }
+  ~CheckpointDirWatcher() { stop(); }
+  CheckpointDirWatcher(const CheckpointDirWatcher&) = delete;
+  CheckpointDirWatcher& operator=(const CheckpointDirWatcher&) = delete;
+
+  void stop() {
+    quit_.store(true);
+    if (thread_.joinable()) thread_.join();
+  }
+  [[nodiscard]] bool saw_entry() const { return saw_entry_.load(); }
+  [[nodiscard]] bool saw_valid_snapshot() const { return saw_valid_.load(); }
+
+ private:
+  void run() {
+    while (!quit_.load()) {
+      std::error_code ec;
+      if (!std::filesystem::is_empty(dir_, ec) && !ec) saw_entry_.store(true);
+      if (!saw_valid_.load() && robust::snapshot_exists(snap_)) {
+        try {
+          (void)robust::load_snapshot(snap_, fp_);
+          saw_valid_.store(true);
+        } catch (const robust::SnapshotError&) {
+          // Removed between the check and the read: the solve finished.
+        }
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  std::filesystem::path dir_, snap_;
+  std::uint64_t fp_;
+  std::atomic<bool> quit_{false}, saw_entry_{false}, saw_valid_{false};
+  std::thread thread_;
+};
+
+std::filesystem::path fresh_dir(const std::string& name) {
+  auto dir = std::filesystem::path(testing::TempDir()) / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+// W16's serial checkpointed proof runs about ten checkpoint intervals in
+// an optimized build (~0.5 s; longer under sanitizers), so snapshots
+// must reach the disk while it runs; the completed solve removes them.
+TEST(Supervisor, LongSolveWritesSnapshotsOnTheCadenceAndRemovesThem) {
+  const Graph g = topo::WrappedButterfly(16).graph();
+  const auto dir = fresh_dir("cadence_long");
+  robust::SupervisorOptions so;
+  so.checkpoint_path = dir / "w16.snap";
+  robust::Supervisor sup(so);
+
+  CheckpointDirWatcher watcher(dir, so.checkpoint_path,
+                               robust::graph_fingerprint(g));
+  const auto rep = sup.solve_bisection(g);
+  const bool exists_after = robust::snapshot_exists(so.checkpoint_path);
+  watcher.stop();
+
+  EXPECT_EQ(rep.status, robust::SolveStatus::kExactOptimal);
+  EXPECT_EQ(rep.best.capacity, 16u);
+  EXPECT_GT(rep.wall_seconds * 1e3, 4 * kCheckpointIntervalMs);
+  EXPECT_TRUE(watcher.saw_valid_snapshot());
+  EXPECT_FALSE(exists_after);
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
+}
+
+// A solve shorter than one checkpoint interval never touches the disk:
+// not a snapshot, not a temp file.
+TEST(Supervisor, ShortSolveNeverWritesASnapshot) {
+  const Graph g = topo::Butterfly(8).graph();
+  const auto dir = fresh_dir("cadence_short");
+  robust::SupervisorOptions so;
+  so.checkpoint_path = dir / "b8.snap";
+  robust::Supervisor sup(so);
+
+  CheckpointDirWatcher watcher(dir, so.checkpoint_path,
+                               robust::graph_fingerprint(g));
+  const auto rep = sup.solve_bisection(g);
+  watcher.stop();
+
+  EXPECT_EQ(rep.status, robust::SolveStatus::kExactOptimal);
+  EXPECT_EQ(rep.best.capacity, 8u);
+  if (rep.wall_seconds * 1e3 >= kCheckpointIntervalMs) {
+    std::filesystem::remove_all(dir);
+    GTEST_SKIP() << "B8 took " << rep.wall_seconds * 1e3
+                 << " ms here, past one checkpoint interval";
+  }
+  EXPECT_FALSE(watcher.saw_entry());
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Supervisor, DegradationLadderAlwaysReturnsAValidCut) {

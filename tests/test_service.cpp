@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -13,9 +14,11 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include <unistd.h>
@@ -69,6 +72,23 @@ service::Request boundary(service::Family family, std::uint32_t n,
   r.n = n;
   r.subset_mask = mask;
   return r;
+}
+
+/// Oracle for canonical_mask: the mask's whole orbit, closed breadth-
+/// first under the group's generators. Sorted ascending, so front() is
+/// the lex-min representative the service must pick.
+std::vector<std::uint64_t> mask_orbit(const algo::PermutationGroup& group,
+                                      std::uint64_t mask) {
+  std::unordered_set<std::uint64_t> seen{mask};
+  std::vector<std::uint64_t> orbit{mask};
+  for (std::size_t i = 0; i < orbit.size(); ++i) {
+    for (const algo::Perm& gen : group.generators()) {
+      const std::uint64_t im = algo::apply_to_mask(gen, orbit[i]);
+      if (seen.insert(im).second) orbit.push_back(im);
+    }
+  }
+  std::sort(orbit.begin(), orbit.end());
+  return orbit;
 }
 
 /// Collects async responses and lets the test block until N arrived.
@@ -196,7 +216,7 @@ TEST(CanonicalKey, SymmetricBoundaryMasksCollide) {
   const auto group =
       service::automorphism_group(service::Family::kButterfly, 4);
   const std::uint64_t mask = 0x13;  // arbitrary 12-node B4 subset
-  const auto orbit = group.mask_orbit(mask);
+  const auto orbit = mask_orbit(group, mask);
   ASSERT_GE(orbit.size(), 2u) << "B4 automorphisms should move this mask";
   const std::uint64_t key0 =
       service::canonical_key(boundary(service::Family::kButterfly, 4, mask));
@@ -227,6 +247,115 @@ TEST(CanonicalKey, ValidInstanceDomain) {
   EXPECT_TRUE(service::valid_instance(service::Family::kHypercube, 2));
   // 4096-node service ceiling.
   EXPECT_FALSE(service::valid_instance(service::Family::kHypercube, 8192));
+}
+
+// Four threads race to key the same instances, none keyed before in this
+// process (ctest runs each test in a process of its own), so they race
+// through the one-time element-table build too. They must agree with
+// each other and with the orbit oracle.
+TEST(CanonicalKey, CanonicalKeyIsThreadSafe) {
+  const std::pair<service::Family, std::uint32_t> instances[] = {
+      {service::Family::kWrapped, 16},
+      {service::Family::kCcc, 16},
+      {service::Family::kHypercube, 32},
+      {service::Family::kButterfly, 8},
+  };
+  std::mt19937_64 rng(0x7a5e);
+  std::vector<service::Request> reqs;
+  for (const auto& [family, n] : instances) {
+    const std::uint64_t nodes = service::instance_nodes(family, n);
+    const std::uint64_t full =
+        nodes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << nodes) - 1;
+    for (int i = 0; i < 16; ++i) reqs.push_back(boundary(family, n, rng() & full));
+  }
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::uint64_t>> keys(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (const service::Request& r : reqs) {
+        keys[t].push_back(service::canonical_key(r));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(keys[t], keys[0]);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const service::Request& r = reqs[i];
+    const auto orbit = mask_orbit(service::automorphism_group(r.family, r.n),
+                                  r.subset_mask);
+    EXPECT_EQ(keys[0][i], service::canonical_key(r, orbit.front()));
+  }
+}
+
+// canonical_mask (least image over the cached element list) against the
+// orbit closure: exhaustively where 2^N masks are few, on seeded random
+// masks elsewhere — every <= 64-node instance the service accepts.
+TEST(CanonicalKey, CanonicalMaskMatchesOrbitOracle) {
+  using service::Family;
+
+  // Exhaustive: walk the masks orbit by orbit, so the oracle closes each
+  // orbit once and every member must canonicalize to its front.
+  const std::pair<Family, std::uint32_t> exhaustive[] = {
+      {Family::kButterfly, 2}, {Family::kButterfly, 4},
+      {Family::kWrapped, 4},   {Family::kCcc, 4},
+      {Family::kHypercube, 2}, {Family::kHypercube, 4},
+      {Family::kHypercube, 8}, {Family::kHypercube, 16},
+  };
+  for (const auto& [family, n] : exhaustive) {
+    const auto group = service::automorphism_group(family, n);
+    const std::uint64_t count = std::uint64_t{1}
+                                << service::instance_nodes(family, n);
+    std::vector<std::uint8_t> done(count, 0);
+    std::size_t mismatches = 0;
+    for (std::uint64_t mask = 0; mask < count; ++mask) {
+      if (done[mask]) continue;
+      const auto orbit = mask_orbit(group, mask);
+      for (const std::uint64_t m : orbit) {
+        done[m] = 1;
+        if (service::canonical_mask(family, n, m) != orbit.front()) {
+          ++mismatches;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << service::to_string(family) << n;
+  }
+
+  const std::pair<Family, std::uint32_t> sampled[] = {
+      {Family::kButterfly, 8}, {Family::kWrapped, 8},
+      {Family::kCcc, 8},       {Family::kWrapped, 16},
+      {Family::kCcc, 16},      {Family::kHypercube, 32},
+  };
+  std::mt19937_64 rng(0xb0a2d);
+  for (const auto& [family, n] : sampled) {
+    const auto group = service::automorphism_group(family, n);
+    const std::uint64_t nodes = service::instance_nodes(family, n);
+    const std::uint64_t full =
+        nodes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << nodes) - 1;
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 2000; ++i) {
+      const std::uint64_t mask = rng() & full;
+      if (service::canonical_mask(family, n, mask) !=
+          mask_orbit(group, mask).front()) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << service::to_string(family) << n;
+  }
+
+  // Q64's 46,080-element group: the empty set, one vertex, random.
+  const auto q64 = service::automorphism_group(Family::kHypercube, 64);
+  for (const std::uint64_t mask : {std::uint64_t{0}, std::uint64_t{1} << 37,
+                                   std::uint64_t{0x9e3779b97f4a7c15}}) {
+    EXPECT_EQ(service::canonical_mask(Family::kHypercube, 64, mask),
+              mask_orbit(q64, mask).front())
+        << std::hex << mask;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -509,7 +638,7 @@ TEST(Service, BoundaryServedInlineAndSymmetricMaskHitsSameEntry) {
   // A symmetric sibling of the mask is a memory hit on the same entry.
   const auto group =
       service::automorphism_group(service::Family::kButterfly, 4);
-  const auto orbit = group.mask_orbit(mask);
+  const auto orbit = mask_orbit(group, mask);
   ASSERT_GE(orbit.size(), 2u);
   const std::uint64_t sibling = orbit.back() != mask ? orbit.back()
                                                      : orbit.front();
