@@ -99,12 +99,10 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 cut::CutResult run_bisection(const std::string& instance, const Graph& g,
                              cut::BranchBoundKernel kernel, unsigned threads,
-                             const char* kernel_name,
-                             const algo::PermutationGroup* sym = nullptr) {
+                             const char* kernel_name) {
   cut::BranchBoundOptions opts;
   opts.kernel = kernel;
   opts.num_threads = threads;
-  opts.symmetry = sym;
   const auto t0 = std::chrono::steady_clock::now();
   const auto res = cut::min_bisection_branch_bound(g, opts);
   const double secs = seconds_since(t0);
@@ -191,8 +189,7 @@ void steal_telemetry_case(const std::string& instance, const Graph& g,
 }
 
 void bisection_case(const std::string& instance, const Graph& g,
-                    unsigned max_threads,
-                    const algo::PermutationGroup* sym = nullptr) {
+                    unsigned max_threads) {
   const auto scalar = run_bisection(instance, g, cut::BranchBoundKernel::kScalar,
                                     1, "bb-scalar");
   const auto bitset = run_bisection(instance, g, cut::BranchBoundKernel::kBitset,
@@ -202,16 +199,6 @@ void bisection_case(const std::string& instance, const Graph& g,
                  "MISMATCH %s: bb-bitset capacity %zu != bb-scalar %zu\n",
                  instance.c_str(), bitset.capacity, scalar.capacity);
     ++g_failures;
-  }
-  if (sym != nullptr) {
-    const auto pruned = run_bisection(
-        instance, g, cut::BranchBoundKernel::kBitset, 1, "bb-bitset-sym", sym);
-    if (pruned.capacity != scalar.capacity) {
-      std::fprintf(
-          stderr, "MISMATCH %s: bb-bitset-sym capacity %zu != bb-scalar %zu\n",
-          instance.c_str(), pruned.capacity, scalar.capacity);
-      ++g_failures;
-    }
   }
   if (max_threads > 1) {
     const auto par = run_bisection(instance, g, cut::BranchBoundKernel::kBitset,
@@ -223,24 +210,6 @@ void bisection_case(const std::string& instance, const Graph& g,
           instance.c_str(), par.capacity, scalar.capacity);
       ++g_failures;
     }
-  }
-}
-
-// Frontier instances the scalar reference cannot touch within the smoke
-// budget: compare the plain bitset kernel against its symmetry-pruned
-// form only. CCC16 under symmetry runs in well under a second in
-// Release — the first exact 16-column instance inside the smoke budget.
-void sym_frontier_case(const std::string& instance, const Graph& g,
-                       const algo::PermutationGroup& sym) {
-  const auto plain = run_bisection(instance, g, cut::BranchBoundKernel::kBitset,
-                                   1, "bb-bitset");
-  const auto pruned = run_bisection(
-      instance, g, cut::BranchBoundKernel::kBitset, 1, "bb-bitset-sym", &sym);
-  if (pruned.capacity != plain.capacity) {
-    std::fprintf(stderr,
-                 "MISMATCH %s: bb-bitset-sym capacity %zu != bb-bitset %zu\n",
-                 instance.c_str(), pruned.capacity, plain.capacity);
-    ++g_failures;
   }
 }
 
@@ -380,38 +349,32 @@ int main(int argc, char** argv) {
       smoke ? "smoke" : "full", hw, simd::to_string(simd::detected_level()),
       simd::to_string(simd::active_level()));
 
-  // Automorphism groups for the symmetry-pruned rows (E21). Random
-  // instances get none — their generic graphs have trivial groups.
   const topo::Butterfly b4(4), b8(8);
   const topo::WrappedButterfly w8(8), w16(16);
   const topo::CubeConnectedCycles c8(8), c16(16);
+  // Automorphism groups for the orbit-sharded sweep-sym rows. Random
+  // instances get none — their generic graphs have trivial groups.
   const algo::PermutationGroup gb4(b4.graph().num_nodes(),
                                    b4.automorphism_generators());
-  const algo::PermutationGroup gb8(b8.graph().num_nodes(),
-                                   b8.automorphism_generators());
   const algo::PermutationGroup gw8(w8.graph().num_nodes(),
                                    w8.automorphism_generators());
-  const algo::PermutationGroup gw16(w16.graph().num_nodes(),
-                                    w16.automorphism_generators());
-  const algo::PermutationGroup gc8(c8.graph().num_nodes(),
-                                   c8.automorphism_generators());
-  const algo::PermutationGroup gc16(c16.graph().num_nodes(),
-                                    c16.automorphism_generators());
 
-  // --- branch-and-bound bisection, scalar vs bitset vs symmetry ---
-  bisection_case("B4", b4.graph(), max_threads, &gb4);
-  bisection_case("B8", b8.graph(), max_threads, &gb8);
-  bisection_case("W8", w8.graph(), max_threads, &gw8);
-  bisection_case("CCC8", c8.graph(), max_threads, &gc8);
+  // --- branch-and-bound bisection, scalar vs bitset ---
+  bisection_case("B4", b4.graph(), max_threads);
+  bisection_case("B8", b8.graph(), max_threads);
+  bisection_case("W8", w8.graph(), max_threads);
+  bisection_case("CCC8", c8.graph(), max_threads);
   bisection_case("rand16", random_graph(16, 0.4, 7), max_threads);
   if (smoke) {
-    // Previously infeasible inside the smoke budget; with orbit pruning
-    // the exact CCC16 bisection closes in ~25k nodes.
-    sym_frontier_case("CCC16", c16.graph(), gc16);
+    // The scalar reference cannot close CCC16 inside the smoke budget;
+    // the serial bitset kernel does (~257k nodes), and its node count
+    // is gated like every other serial row.
+    run_bisection("CCC16", c16.graph(), cut::BranchBoundKernel::kBitset, 1,
+                  "bb-bitset");
   } else {
     bisection_case("rand24", random_graph(24, 0.3, 11), max_threads);
-    bisection_case("W16", w16.graph(), max_threads, &gw16);
-    bisection_case("CCC16", c16.graph(), max_threads, &gc16);
+    bisection_case("W16", w16.graph(), max_threads);
+    bisection_case("CCC16", c16.graph(), max_threads);
   }
 
   // --- E23: dispatch trajectory + work-stealing telemetry on the exact

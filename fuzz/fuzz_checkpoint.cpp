@@ -9,10 +9,13 @@
 //     is a bug. A successful decode must re-encode to bytes that decode
 //     again to the same state (the format round-trips).
 //   * mutate round-trip — the input also seeds a VALID snapshot, which
-//     is encoded and then damaged with one input-chosen byte flip or
-//     truncation; the decoder must reject the damaged stream with a
-//     structured SnapshotError (the checksum or a bounds check fires),
-//     never return a half-decoded state.
+//     is encoded in an input-chosen format version (current v3, legacy
+//     v1, or legacy v2 with search mode 0 or 1) and then damaged with
+//     one input-chosen byte flip or truncation. Undamaged, v1, v3 and
+//     v2 mode 0 must decode to the seeded state and v2 mode 1 (a
+//     symmetry-pruned search) must be refused as kMalformed; damaged,
+//     every stream must be rejected with a structured SnapshotError
+//     (the checksum or a bounds check fires), never half-decoded.
 #include <cstdint>
 #include <cstdlib>
 #include <span>
@@ -20,6 +23,7 @@
 
 #include "cut/branch_bound.hpp"
 #include "robust/checkpoint.hpp"
+#include "robust/wire.hpp"
 
 namespace {
 
@@ -30,8 +34,7 @@ bool states_equal(const bfly::cut::BranchBoundSearchState& a,
   return a.seed_depth == b.seed_depth && a.prefix_done == b.prefix_done &&
          a.incumbent_capacity == b.incumbent_capacity &&
          a.incumbent_sides == b.incumbent_sides &&
-         a.nodes_spent == b.nodes_spent && a.symmetry_mode == b.symmetry_mode &&
-         a.tt_hits == b.tt_hits && a.tt_stores == b.tt_stores;
+         a.nodes_spent == b.nodes_spent;
 }
 
 /// Deterministically derives a structurally valid snapshot from the
@@ -60,12 +63,38 @@ BisectionSnapshot derive_snapshot(const std::uint8_t* data,
     }
   }
   st.nodes_spent = mix >> 3;
-  st.symmetry_mode = static_cast<std::uint8_t>((mix >> 5) & 1u);
-  if (st.symmetry_mode != 0) {
-    st.tt_hits = (mix >> 11) % 100000u;
-    st.tt_stores = (mix >> 21) % 100000u;
-  }
   return snap;
+}
+
+/// Legacy encodings, written independently of encode_snapshot from the
+/// format history: v1 is v3's layout under version 1; v2 inserts a
+/// search-mode byte and two u64 table counters before the checksum.
+std::vector<std::uint8_t> encode_legacy(const BisectionSnapshot& snap,
+                                        std::uint32_t version,
+                                        std::uint8_t v2_mode,
+                                        std::uint64_t mix) {
+  namespace wire = bfly::robust::wire;
+  const auto& st = snap.state;
+  std::vector<std::uint8_t> out = {'B', 'F', 'L', 'Y', 'S', 'N', 'P', '1'};
+  wire::put_u32(out, version);
+  wire::put_u64(out, snap.fingerprint);
+  wire::put_u32(out, st.seed_depth);
+  wire::put_u64(out, st.prefix_done.size());
+  out.insert(out.end(), st.prefix_done.begin(), st.prefix_done.end());
+  wire::put_u64(out, st.incumbent_capacity == static_cast<std::size_t>(-1)
+                         ? ~std::uint64_t{0}
+                         : st.incumbent_capacity);
+  wire::put_u64(out, st.incumbent_sides.size());
+  out.insert(out.end(), st.incumbent_sides.begin(),
+             st.incumbent_sides.end());
+  wire::put_u64(out, st.nodes_spent);
+  if (version == 2) {
+    out.push_back(v2_mode);
+    wire::put_u64(out, (mix >> 11) % 100000u);  // table counters
+    wire::put_u64(out, (mix >> 21) % 100000u);
+  }
+  wire::put_u64(out, wire::fnv1a(wire::kFnvOffset, out.data(), out.size()));
+  return out;
 }
 
 }  // namespace
@@ -91,14 +120,26 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   // Mode 2: damage a valid stream at an input-chosen point.
   if (size < 2) return 0;
   const BisectionSnapshot valid = derive_snapshot(data, size);
-  const auto bytes = bfly::robust::encode_snapshot(valid);
+  // data[1] bits 1-2 pick the format: 0 = v3, 1 = v1, 2 = v2 mode 0,
+  // 3 = v2 mode 1.
+  const unsigned format = (data[1] >> 1) & 3u;
+  const std::uint64_t mix = valid.fingerprint;
+  const auto bytes =
+      format == 0 ? bfly::robust::encode_snapshot(valid)
+      : format == 1
+          ? encode_legacy(valid, 1, 0, mix)
+          : encode_legacy(valid, 2, static_cast<std::uint8_t>(format - 2),
+                          mix);
   try {
-    if (states_equal(bfly::robust::decode_snapshot(bytes).state,
-                     valid.state) == false) {
-      std::abort();  // clean round-trip must be lossless
+    const BisectionSnapshot back = bfly::robust::decode_snapshot(bytes);
+    if (format == 3 || back.fingerprint != valid.fingerprint ||
+        !states_equal(back.state, valid.state)) {
+      std::abort();  // lossless decode, and v2 mode 1 must never decode
     }
-  } catch (const bfly::robust::SnapshotError&) {
-    std::abort();  // a freshly encoded snapshot must decode
+  } catch (const bfly::robust::SnapshotError& e) {
+    if (format != 3 || e.fault() != bfly::robust::SnapshotFault::kMalformed) {
+      std::abort();  // a freshly encoded snapshot must decode
+    }
   }
 
   const std::size_t pos = data[0] % bytes.size();

@@ -4,10 +4,10 @@
 // Every butterfly-family network has a large, explicitly known
 // automorphism group — column rotations/XORs of Wn and CCCn, the
 // (c0, flips) translations and level reversal of Bn, bit permutations
-// of Qd, row/column permutations of MOS — and the exact kernels exploit
-// it: equivalent branch-and-bound states collapse through a canonical
-// transposition table, and the sharded expansion sweep enumerates only
-// orbit representatives of its shard prefixes. This module is the
+// of Qd, row/column permutations of MOS — and two consumers exploit it:
+// the sharded expansion sweep enumerates only orbit representatives of
+// its shard prefixes, and the query service folds symmetric BOUNDARY
+// masks into one canonical cache key. This module is the
 // group-theory substrate: permutation arithmetic, automorphism
 // verification, Schreier-style orbit computation on vertices, and
 // bounded enumeration of the full element closure, from which every

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <utility>
 
 #include "core/error.hpp"
 
@@ -19,7 +18,6 @@ std::uint32_t FlowNetwork::add_arc(NodeId u, NodeId v, std::int64_t capacity,
   BFLY_CHECK(capacity <=
                  std::numeric_limits<std::int64_t>::max() - reverse_capacity,
              "arc pair capacity overflows int64");
-  BFLY_CHECK(!packed_, "add_arc after enable_packed_bfs");
   const auto fwd = static_cast<std::uint32_t>(arcs_.size());
   arcs_.push_back({u, v, head_[u], capacity, capacity});
   head_[u] = fwd;
@@ -30,7 +28,6 @@ std::uint32_t FlowNetwork::add_arc(NodeId u, NodeId v, std::int64_t capacity,
 
 void FlowNetwork::reset() {
   for (Arc& arc : arcs_) arc.capacity = arc.original;
-  if (packed_) rebuild_packed_rows();
 }
 
 void FlowNetwork::set_capacity(std::uint32_t arc, std::int64_t capacity) {
@@ -43,41 +40,6 @@ void FlowNetwork::set_capacity(std::uint32_t arc, std::int64_t capacity) {
              "arc pair capacity overflows int64");
   Arc& a = arcs_[arc];
   a.capacity = a.original = capacity;
-  if (packed_) {
-    if (capacity > 0) {
-      rows_[a.from].set(a.to);
-    } else {
-      rows_[a.from].reset(a.to);
-    }
-  }
-}
-
-void FlowNetwork::enable_packed_bfs() {
-  // Bit (v, w) of the packed rows must be owned by exactly one arc, or a
-  // saturated arc could clear a bit another arc still justifies. Reverse
-  // arcs claim their pair too — they carry residual capacity.
-  std::vector<std::uint64_t> pairs;
-  pairs.reserve(arcs_.size());
-  for (const Arc& a : arcs_) {
-    pairs.push_back((static_cast<std::uint64_t>(a.from) << 32) | a.to);
-  }
-  std::sort(pairs.begin(), pairs.end());
-  BFLY_CHECK(std::adjacent_find(pairs.begin(), pairs.end()) == pairs.end(),
-             "packed BFS requires at most one arc per ordered node pair");
-  const NodeId n = num_nodes();
-  rows_.assign(n, Bitset64(n));
-  frontier_ = Bitset64(n);
-  next_ = Bitset64(n);
-  visited_ = Bitset64(n);
-  packed_ = true;
-  rebuild_packed_rows();
-}
-
-void FlowNetwork::rebuild_packed_rows() {
-  for (Bitset64& row : rows_) row.clear();
-  for (const Arc& a : arcs_) {
-    if (a.capacity > 0) rows_[a.from].set(a.to);
-  }
 }
 
 bool FlowNetwork::bfs_levels(NodeId s, NodeId t) {
@@ -98,32 +60,6 @@ bool FlowNetwork::bfs_levels(NodeId s, NodeId t) {
   return level_[t] != kUnreached;
 }
 
-bool FlowNetwork::bfs_levels_packed(NodeId s, NodeId t) {
-  level_.assign(num_nodes(), kUnreached);
-  visited_.clear();
-  frontier_.clear();
-  frontier_.set(s);
-  visited_.set(s);
-  level_[s] = 0;
-  std::uint32_t depth = 0;
-  // Early exit once t is leveled is sound (the DFS never walks past
-  // level(t) toward t) and only ever skipped on the final, failing BFS —
-  // exactly the one on_source_side() reads.
-  while (level_[t] == kUnreached && frontier_.any()) {
-    next_.clear();
-    frontier_.for_each_set(
-        [&](std::size_t v) { next_.or_assign(rows_[v]); });
-    next_.andnot_assign(visited_);
-    ++depth;
-    next_.for_each_set([&](std::size_t w) {
-      level_[w] = depth;
-    });
-    visited_.or_assign(next_);
-    std::swap(frontier_, next_);
-  }
-  return level_[t] != kUnreached;
-}
-
 std::int64_t FlowNetwork::dfs_push(NodeId v, NodeId t, std::int64_t limit) {
   if (v == t) return limit;
   for (std::uint32_t& a = iter_[v]; a != kNoArc; a = arcs_[a].next) {
@@ -135,10 +71,6 @@ std::int64_t FlowNetwork::dfs_push(NodeId v, NodeId t, std::int64_t limit) {
         Arc& rev = arcs_[a ^ 1u];
         arc.capacity -= pushed;
         rev.capacity += pushed;
-        if (packed_) {
-          if (arc.capacity == 0) rows_[arc.from].reset(arc.to);
-          if (rev.capacity == pushed) rows_[rev.from].set(rev.to);
-        }
         return pushed;
       }
     }
@@ -150,7 +82,7 @@ std::int64_t FlowNetwork::max_flow(NodeId s, NodeId t) {
   BFLY_CHECK(s < num_nodes() && t < num_nodes(), "terminal out of range");
   BFLY_CHECK(s != t, "source and sink must differ");
   std::int64_t total = 0;
-  while (packed_ ? bfs_levels_packed(s, t) : bfs_levels(s, t)) {
+  while (bfs_levels(s, t)) {
     iter_ = head_;
     std::int64_t phase = 0;
     while (true) {
@@ -162,7 +94,7 @@ std::int64_t FlowNetwork::max_flow(NodeId s, NodeId t) {
       total += pushed;
       phase += pushed;
     }
-    // Both level phases are exact residual BFS, so a reachable sink
+    // The level phase is an exact residual BFS, so a reachable sink
     // always admits at least one augmentation.
     BFLY_ASSERT_MSG(phase > 0, "level phase pushed no flow");
   }
@@ -196,8 +128,7 @@ std::int64_t max_edge_disjoint_paths(const Graph& g,
 }
 
 NodeSplitNetwork make_node_split_network(const Graph& g,
-                                         std::int64_t split_capacity,
-                                         NodeId packed_bfs_node_limit) {
+                                         std::int64_t split_capacity) {
   const NodeId n = g.num_nodes();
   BFLY_CHECK(n >= 1, "node-split network needs a nonempty graph");
   NodeSplitNetwork ns{FlowNetwork(2 * n + 2), n};
@@ -216,7 +147,6 @@ NodeSplitNetwork make_node_split_network(const Graph& g,
       ns.net.add_arc(ns.out_node(v), ns.in_node(u), kUnboundedCapacity);
     }
   }
-  if (packed_bfs_node_limit >= 2 * n + 2) ns.net.enable_packed_bfs();
   return ns;
 }
 

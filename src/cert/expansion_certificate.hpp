@@ -23,8 +23,8 @@
 //     S ∪ N(S) != V has |N(S)| >= kappa(G) (N(S) separates S from the
 //     rest), else |N(S)| = n - |S|; hence NE(G, k) >= min(kappa, n - k).
 //
-// All certificates run on the reusable FlowNetwork with the packed
-// bitset level phase, so they scale to B1024-sized instances.
+// All certificates run on the reusable FlowNetwork (CSR Dinic), so
+// they scale to B1024-sized instances.
 #pragma once
 
 #include <cstdint>
@@ -34,15 +34,6 @@
 #include "core/types.hpp"
 
 namespace bfly::cert {
-
-struct CertOptions {
-  /// Enable the packed (bitset) Dinic level phase when the certification
-  /// network has at most this many nodes (0 = never). Packed rows cost
-  /// nodes^2 / 8 bytes; the default admits B1024 (11264 graph nodes ->
-  /// a 22530-node split network, ~63 MiB) and stays well clear of
-  /// accidental gigabyte allocations.
-  NodeId packed_bfs_node_limit = 24576;
-};
 
 /// Certificate for a claimed edge-boundary value |∂S|.
 struct EdgeBoundaryCertificate {
@@ -54,8 +45,7 @@ struct EdgeBoundaryCertificate {
 /// Certifies the claim |∂set| == claimed. `set` must be a nonempty
 /// proper subset of the nodes (duplicates collapse).
 [[nodiscard]] EdgeBoundaryCertificate certify_edge_boundary(
-    const Graph& g, std::span<const NodeId> set, std::int64_t claimed,
-    const CertOptions& opts = {});
+    const Graph& g, std::span<const NodeId> set, std::int64_t claimed);
 
 /// Certificate for a claimed node-boundary value |N(S)|.
 struct NodeBoundaryCertificate {
@@ -73,8 +63,7 @@ struct NodeBoundaryCertificate {
 
 /// Certifies the claim |N(set)| == claimed; see NodeBoundaryCertificate.
 [[nodiscard]] NodeBoundaryCertificate certify_node_boundary(
-    const Graph& g, std::span<const NodeId> set, std::int64_t claimed,
-    const CertOptions& opts = {});
+    const Graph& g, std::span<const NodeId> set, std::int64_t claimed);
 
 /// Certified class-wide expansion lower bounds: kappa = vertex
 /// connectivity, lambda = edge connectivity (both exact, via Even's

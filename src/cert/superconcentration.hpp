@@ -44,8 +44,6 @@ struct SuperconcOptions {
   /// Query count in sampling mode (uniform k, then uniform k-subsets).
   std::uint64_t samples = 128;
   std::uint64_t seed = 1;
-  /// Passed through to the node-split network (see CertOptions).
-  NodeId packed_bfs_node_limit = 24576;
 };
 
 struct SuperconcentrationCertificate {

@@ -39,11 +39,6 @@ struct CutResult {
   /// bench_exact_kernels records this so bound-strength changes show up
   /// as visited-node deltas, not just wall time.
   std::uint64_t nodes_visited = 0;
-  /// Canonical transposition-table telemetry (symmetry-pruned
-  /// branch-and-bound only; zero otherwise): subtrees pruned because an
-  /// equivalent state had already been searched, and states stored.
-  std::uint64_t tt_hits = 0;
-  std::uint64_t tt_stores = 0;
   /// Work-stealing scheduler telemetry (parallel seed-prefix driver
   /// only; zero otherwise): shards spawned, shards executed by a thief
   /// rather than their seeded owner, and summed worker idle-scan time.

@@ -4,8 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <limits>
-#include <optional>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -15,7 +13,6 @@
 #include "core/simd.hpp"
 #include "core/sync.hpp"
 #include "cut/incumbent.hpp"
-#include "cut/transposition.hpp"
 #include "robust/fault_injection.hpp"
 
 namespace bfly::cut {
@@ -81,40 +78,6 @@ struct SubsetState {
     return u1 <= u_ceil && u1 + remaining >= u_floor;
   }
 };
-
-// ---------------------------------------------------------------------------
-// Canonical keys for the shared transposition table
-// (cut/transposition.hpp). Symmetry pruning is restricted to n <= 64 so
-// a search state's side masks fit one word each; the scalar kernel and
-// subset mode never use it.
-// ---------------------------------------------------------------------------
-
-// Lexicographically smallest image of the (side-0, side-1) mask pair
-// over every enumerated group element, composed with the global side
-// swap. States with equal canonical pairs are connected by an
-// automorphism (possibly plus a side exchange), so they have identical
-// current cut, identical bound terms, and completion sets in a
-// cut-preserving bijection. Keys are the exact 128-bit canonical pair —
-// a table hit can never be a false positive.
-std::pair<std::uint64_t, std::uint64_t> canonical_mask_pair(
-    std::uint64_t m0, std::uint64_t m1,
-    const std::vector<algo::Perm>& elements) {
-  std::uint64_t b0 = ~std::uint64_t{0};
-  std::uint64_t b1 = ~std::uint64_t{0};
-  for (const algo::Perm& p : elements) {
-    const std::uint64_t s0 = algo::apply_to_mask(p, m0);
-    const std::uint64_t s1 = algo::apply_to_mask(p, m1);
-    if (s0 < b0 || (s0 == b0 && s1 < b1)) {
-      b0 = s0;
-      b1 = s1;
-    }
-    if (s1 < b0 || (s1 == b0 && s0 < b1)) {
-      b0 = s1;
-      b1 = s0;
-    }
-  }
-  return {b0, b1};
-}
 
 // ---------------------------------------------------------------------------
 // Scalar reference kernel: the original byte-array walker. Retained
@@ -278,10 +241,6 @@ struct SearchShared {
   SharedIncumbent incumbent;
   std::atomic<std::uint64_t> pooled_visited{0};
   std::atomic<bool> aborted{false};
-  // Symmetry pruning, both null when it is off: the enumerated group
-  // elements for canonicalization and the shared transposition table.
-  const std::vector<algo::Perm>* sym_elements = nullptr;
-  TranspositionTable* tt = nullptr;
 };
 
 struct BitsetSearcher {
@@ -561,81 +520,6 @@ struct BitsetSearcher {
     record_solution(total, sides);
   }
 
-  // Canonical form of the current (side-0, side-1) masks under the
-  // shared group and the side swap. Only valid when symmetry pruning is
-  // active, which implies n <= 64 (single-word masks).
-  [[nodiscard]] TranspositionTable::Key canonical_key() const {
-    BFLY_ASSERT(shared.sym_elements != nullptr && n <= 64);
-    return canonical_mask_pair(mask[0].words()[0], mask[1].words()[0],
-                               *shared.sym_elements);
-  }
-
-  // Images of v under the setwise stabilizer of the current masks,
-  // split by how the element treats the sides. `oplus` collects sigma(v)
-  // for elements fixing both masks: a completion with sigma(v) on side
-  // `first` maps through sigma^-1 to an equal-cost completion of the
-  // SAME state with v on `first`. `ominus` collects sigma(v) for
-  // elements swapping the masks (possible only at balanced states):
-  // composing sigma^-1 with the global side swap again lands on the
-  // same state at equal cost, and it sends completions with sigma(v) on
-  // the OTHER side to completions with v on `first`. Every collected
-  // vertex is unassigned (both element kinds fix the unassigned set).
-  void stabilizer_orbits(NodeId v, std::uint64_t& oplus,
-                         std::uint64_t& ominus) const {
-    const std::uint64_t m0 = mask[0].words()[0];
-    const std::uint64_t m1 = mask[1].words()[0];
-    oplus = 0;
-    ominus = 0;
-    for (const algo::Perm& p : *shared.sym_elements) {
-      const std::uint64_t pm0 = algo::apply_to_mask(p, m0);
-      const std::uint64_t pm1 = algo::apply_to_mask(p, m1);
-      if (pm0 == m0 && pm1 == m1) {
-        oplus |= std::uint64_t{1} << p[v];
-      } else if (pm0 == m1 && pm1 == m0) {
-        ominus |= std::uint64_t{1} << p[v];
-      }
-    }
-  }
-
-  // Twins of v among the unassigned vertices, relative to the side
-  // `first` the dichotomy keeps: w is a twin when it has the same
-  // unassigned neighborhood as v (ignoring v and w themselves) and v is
-  // no more expensive to place on `first` than w, i.e.
-  //
-  //   a[other][v] - a[first][v]  <=  a[other][w] - a[first][w].
-  //
-  // The transposition (v w) then maps any completion with w on `first`
-  // and v on the other side to one with v on `first` of cost <= it:
-  // edges into the remaining unassigned set contribute identically
-  // (matching neighborhoods; a possible v-w edge stays cut), and the
-  // assigned-edge contribution changes by exactly the slack difference
-  // above. (v w) is usually NOT a graph automorphism — this is the
-  // residual local structure mid-depth states retain after the global
-  // stabilizer has collapsed — and each twin carries its own witness,
-  // so the set joins v's orbital dichotomy without any group closure:
-  // completions with a twin on `first` are dominated by the v-on-first
-  // subtree, so the second branch may force them all to the other side.
-  [[nodiscard]] std::uint64_t twin_orbit(NodeId v, int first) const {
-    const int other = 1 - first;
-    const std::uint64_t u_word = unassigned.words()[0];
-    const std::uint64_t av = adj[v].words()[0];
-    const std::uint64_t bit_v = std::uint64_t{1} << v;
-    const std::int32_t v_slack = static_cast<std::int32_t>(a[other][v]) -
-                                 static_cast<std::int32_t>(a[first][v]);
-    std::uint64_t orbit = bit_v;
-    unassigned.for_each_set([&](std::size_t w) {
-      if (w == v) return;
-      const std::int32_t w_slack = static_cast<std::int32_t>(a[other][w]) -
-                                   static_cast<std::int32_t>(a[first][w]);
-      if (w_slack < v_slack) return;
-      const std::uint64_t bit_w = std::uint64_t{1} << w;
-      if ((av & u_word & ~bit_w) == (adj[w].words()[0] & u_word & ~bit_v)) {
-        orbit |= bit_w;
-      }
-    });
-    return orbit;
-  }
-
   // Dynamic branching order: descend on the most constrained unassigned
   // node — largest side-count difference (its bad branch is the
   // likeliest to prune), then most assigned neighbors, then highest
@@ -654,66 +538,8 @@ struct BitsetSearcher {
     return static_cast<NodeId>(best);
   }
 
-  // Strong-branching selection key used in symmetry mode: score each
-  // candidate by the immediate lower-bound growth of its WORSE child
-  // (cut increase minus the candidate's own sum_min term, plus the
-  // neighbors whose min side-count rises), so the branch vertex is the
-  // one whose dichotomy provably tightens the bound fastest — the right
-  // objective in the refutation trees orbital branching leaves behind.
-  // Ties fall back to the bound growth of the better child, then to the
-  // plain kernel's activity key. The plain kernel keeps its original
-  // static key: its node counts are the differential baseline.
-  [[nodiscard]] std::uint64_t strong_key(NodeId w) const {
-    const std::uint32_t a0 = a[0][w], a1 = a[1][w];
-    const std::uint64_t u_word = unassigned.words()[0];
-    std::uint32_t g0 = 0, g1 = 0;
-    for (std::uint64_t rest =
-             adj[w].words()[0] & u_word & ~(std::uint64_t{1} << w);
-         rest != 0; rest &= rest - 1) {
-      const auto u = static_cast<std::size_t>(std::countr_zero(rest));
-      g0 += a[0][u] < a[1][u] ? 1u : 0u;
-      g1 += a[1][u] < a[0][u] ? 1u : 0u;
-    }
-    const std::uint32_t base = a0 < a1 ? a0 : a1;
-    const std::uint32_t d0 = a1 - base + g0;  // bound growth of w -> 0
-    const std::uint32_t d1 = a0 - base + g1;  // bound growth of w -> 1
-    const std::uint32_t lo = d0 < d1 ? d0 : d1;
-    const std::uint32_t hi = d0 < d1 ? d1 : d0;
-    return (static_cast<std::uint64_t>(lo) << 40) |
-           (static_cast<std::uint64_t>(hi) << 24) |
-           (static_cast<std::uint64_t>(a0 + a1) << 8) |
-           static_cast<std::uint64_t>(g.degree(w));
-  }
-
-  [[nodiscard]] NodeId select_next_strong() const {
-    NodeId best = 0;
-    std::uint64_t best_key = 0;
-    bool found = false;
-    unassigned.for_each_set([&](std::size_t w) {
-      const std::uint64_t key = strong_key(static_cast<NodeId>(w));
-      if (!found || key > best_key) {
-        found = true;
-        best_key = key;
-        best = static_cast<NodeId>(w);
-      }
-    });
-    BFLY_ASSERT(found);
-    return best;
-  }
-
   void dfs(NodeId num_assigned) {
     if (aborted) return;
-    // Transposition probe before the node is counted as expanded: a hit
-    // means an equivalent subtree was already fully searched, so this
-    // node is closed before any expansion work. Probing below depth 2
-    // can never hit (a DFS never revisits a state; the only depth-1
-    // state is its own canonical class representative).
-    TranspositionTable::Key tt_key{};
-    const bool tt_active = shared.tt != nullptr && num_assigned >= 2;
-    if (tt_active) {
-      tt_key = canonical_key();
-      if (shared.tt->probe(tt_key)) return;
-    }
     ++visited;
     if (opts.node_limit != 0 && budget_estimate() > opts.node_limit) {
       abort_search();
@@ -749,90 +575,12 @@ struct BitsetSearcher {
         return;
       }
     }
-    NodeId v = shared.sym_elements != nullptr ? select_next_strong()
-                                              : select_next();
+    const NodeId v = select_next();
     int first = a[0][v] >= a[1][v] ? 0 : 1;
     // The very first assigned node can be pinned to side 0 (complement
     // symmetry) no matter which node the dynamic order picked.
     const int sides_to_try = num_assigned == 0 ? 1 : 2;
     if (num_assigned == 0) first = 0;
-    // Orbital branching (stabilizer-chain descent, DESIGN.md §10).
-    // Build v's two-sided orbit under the swap-extended setwise
-    // stabilizer plus its twin set. Every completion then falls in one
-    // of two classes: it puts some O+/twin vertex on side `first` or
-    // some O- vertex on the other side — in which case a witness maps
-    // it into the v -> first subtree at no greater cost — or it puts
-    // ALL of O+ and the twins on the other side and ALL of O- on
-    // `first`. Two branches replace the usual two, but the second
-    // multi-assigns the whole orbit at once (and vanishes outright when
-    // O+ and O- intersect — the forced sides contradict), so the
-    // collapse compounds down the stabilizer chain.
-    if (shared.sym_elements != nullptr && num_assigned >= 1) {
-      std::uint64_t oplus = 0;
-      std::uint64_t ominus = 0;
-      stabilizer_orbits(v, oplus, ominus);
-      // Twins extend the dichotomy past the stabilizer: their witnesses
-      // are per-vertex transpositions, valid alongside the group ones.
-      oplus |= twin_orbit(v, first);
-      {
-        // Tie-aware reselect: among unassigned vertices with the same
-        // selection key (a free choice — the key order is heuristic,
-        // any tied vertex is an equally ranked branch candidate),
-        // prefer one whose combined orbit is larger. Every witness in a
-        // candidate's orbit targets the candidate itself (stabilizer
-        // elements are inverted, twin transpositions are their own
-        // inverse), so the candidate becomes the branch vertex.
-        const std::uint64_t vkey = strong_key(v);
-        int best_sz = std::popcount(oplus) + std::popcount(ominus);
-        unassigned.for_each_set([&](std::size_t w) {
-          if (strong_key(static_cast<NodeId>(w)) != vkey) return;
-          const int first_w = a[0][w] >= a[1][w] ? 0 : 1;
-          std::uint64_t op = 0;
-          std::uint64_t om = 0;
-          stabilizer_orbits(static_cast<NodeId>(w), op, om);
-          op |= twin_orbit(static_cast<NodeId>(w), first_w);
-          const int sz = std::popcount(op) + std::popcount(om);
-          if (sz > best_sz) {
-            best_sz = sz;
-            oplus = op;
-            ominus = om;
-            v = static_cast<NodeId>(w);
-            first = first_w;
-          }
-        });
-      }
-      if ((oplus & (oplus - 1)) != 0 || ominus != 0) {
-        if (side_feasible(first)) {
-          assign(v, first);
-          dfs(num_assigned + 1);
-          unassign(v, first);
-          if (aborted) return;
-        }
-        const int other = 1 - first;
-        const auto osz = static_cast<std::size_t>(std::popcount(oplus));
-        const auto fsz = static_cast<std::size_t>(std::popcount(ominus));
-        if ((oplus & ominus) == 0 && cnt[other] + osz <= cap_side &&
-            cnt[first] + fsz <= cap_side) {
-          NodeId ws[64];
-          int sides[64];
-          int m = 0;
-          for (std::uint64_t rest = oplus; rest != 0; rest &= rest - 1) {
-            ws[m] = static_cast<NodeId>(std::countr_zero(rest));
-            sides[m++] = other;
-          }
-          for (std::uint64_t rest = ominus; rest != 0; rest &= rest - 1) {
-            ws[m] = static_cast<NodeId>(std::countr_zero(rest));
-            sides[m++] = first;
-          }
-          for (int i = 0; i < m; ++i) assign(ws[i], sides[i]);
-          dfs(num_assigned + static_cast<NodeId>(m));
-          for (int i = m - 1; i >= 0; --i) unassign(ws[i], sides[i]);
-          if (aborted) return;
-        }
-        if (tt_active) shared.tt->insert(tt_key);
-        return;
-      }
-    }
     for (int t = 0; t < sides_to_try; ++t) {
       const int s = t == 0 ? first : 1 - first;
       if (!side_feasible(s)) continue;
@@ -841,10 +589,6 @@ struct BitsetSearcher {
       unassign(v, s);
       if (aborted) return;
     }
-    // Reaching here means both children were searched to completion (or
-    // pruned), never cut short: record the subtree so any equivalent
-    // state elsewhere in the tree is pruned by membership alone.
-    if (tt_active) shared.tt->insert(tt_key);
   }
 };
 
@@ -853,17 +597,10 @@ struct BitsetSearcher {
 // side caps, partial subset feasibility) so the seeds exactly partition
 // the serial search tree at that depth. Grows the depth until there are
 // target_seeds seeds or max_depth is reached.
-// When sym_elements is non-null the enumerated prefixes are additionally
-// deduplicated up to symmetry: only the first prefix of each canonical
-// class survives, and the dropped ones are never searched — their
-// subtrees are images of the kept representative's, so every completion
-// they contain maps to an equal-capacity completion under the kept
-// prefix. Deterministic (first in enumeration order wins), so a resumed
-// run reproduces the identical prefix list.
 std::vector<std::vector<std::uint8_t>> enumerate_seed_prefixes(
     const Graph& g, const BranchBoundOptions& opts,
     const std::vector<NodeId>& order, std::size_t target_seeds,
-    unsigned max_depth, const std::vector<algo::Perm>* sym_elements) {
+    unsigned max_depth) {
   const NodeId n = g.num_nodes();
   const std::size_t cap_side = (static_cast<std::size_t>(n) + 1) / 2;
   SubsetState sub(g, opts);
@@ -900,22 +637,6 @@ std::vector<std::vector<std::uint8_t>> enumerate_seed_prefixes(
     }
     cur.swap(next);
   }
-  if (sym_elements != nullptr && !cur.empty() && !cur.front().empty()) {
-    std::unordered_set<TranspositionTable::Key, TtKeyHash> seen;
-    seen.reserve(cur.size() * 2);
-    std::vector<std::vector<std::uint8_t>> kept;
-    kept.reserve(cur.size());
-    for (auto& p : cur) {
-      std::uint64_t m[2] = {0, 0};
-      for (std::size_t i = 0; i < p.size(); ++i) {
-        m[p[i]] |= std::uint64_t{1} << order[i];
-      }
-      if (seen.insert(canonical_mask_pair(m[0], m[1], *sym_elements)).second) {
-        kept.push_back(std::move(p));
-      }
-    }
-    cur = std::move(kept);
-  }
   return cur;
 }
 
@@ -935,8 +656,6 @@ struct BitsetRunOutcome {
   std::vector<std::uint8_t> sides;
   bool aborted = false;
   std::uint64_t visited = 0;
-  std::uint64_t tt_hits = 0;
-  std::uint64_t tt_stores = 0;
   StealStats ws;
 };
 
@@ -955,34 +674,12 @@ BitsetRunOutcome run_bitset_search(const Graph& g,
   const bool checkpointing = opts.on_checkpoint != nullptr ||
                              opts.resume != nullptr || opts.shard_count > 1;
 
-  // Symmetry pruning is silently disabled whenever its preconditions
-  // fail (subset mode, masks wider than one word, group too large to
-  // enumerate): the search is then the plain bitset search, bit for bit.
-  std::optional<TranspositionTable> tt;
-  if (opts.symmetry != nullptr && opts.bisect_subset.empty() &&
-      g.num_nodes() <= 64) {
-    const std::vector<algo::Perm>* elements = opts.symmetry->elements();
-    if (elements != nullptr) {
-      BFLY_CHECK(opts.symmetry->degree() == g.num_nodes(),
-                 "symmetry group degree does not match the graph");
-      tt.emplace(opts.tt_max_entries);
-      shared.sym_elements = elements;
-      shared.tt = &*tt;
-    }
-  }
-
   if (opts.resume != nullptr) {
     // Restore the interrupted run's incumbent and node count before any
     // worker starts, so the resumed search prunes (and reports) exactly
     // as if it had never stopped.
     const BranchBoundSearchState& rs = *opts.resume;
-    BFLY_CHECK(rs.symmetry_mode == (shared.tt != nullptr ? 1 : 0),
-               "resume state was produced under a different symmetry "
-               "mode; rerun with the matching BranchBoundOptions");
     shared.pooled_visited.store(rs.nodes_spent, std::memory_order_relaxed);
-    if (shared.tt != nullptr) {
-      shared.tt->seed_counters(rs.tt_hits, rs.tt_stores);
-    }
     if (rs.incumbent_capacity != kNoCapacity) {
       BFLY_CHECK(rs.incumbent_sides.size() == g.num_nodes(),
                  "resume incumbent does not match the graph");
@@ -1021,9 +718,8 @@ BitsetRunOutcome run_bitset_search(const Graph& g,
                          32, static_cast<std::size_t>(threads) * 8)
                    : static_cast<std::size_t>(threads) * 8;
     }
-    const auto prefixes = enumerate_seed_prefixes(g, opts, order, target,
-                                                  max_depth,
-                                                  shared.sym_elements);
+    const auto prefixes =
+        enumerate_seed_prefixes(g, opts, order, target, max_depth);
     const unsigned depth_used =
         prefixes.empty() ? 0 : static_cast<unsigned>(prefixes[0].size());
 
@@ -1082,11 +778,6 @@ BitsetRunOutcome run_bitset_search(const Graph& g,
           // (telemetry only — never affects the proved capacity).
           st.nodes_spent =
               shared.pooled_visited.load(std::memory_order_relaxed);
-          st.symmetry_mode = shared.tt != nullptr ? 1 : 0;
-          if (shared.tt != nullptr) {
-            st.tt_hits = shared.tt->hits();
-            st.tt_stores = shared.tt->stores();
-          }
           opts.on_checkpoint(st);
         }
       };
@@ -1128,10 +819,6 @@ BitsetRunOutcome run_bitset_search(const Graph& g,
   }
   out.aborted = shared.aborted.load(std::memory_order_relaxed);
   out.visited = shared.pooled_visited.load(std::memory_order_relaxed);
-  if (shared.tt != nullptr) {
-    out.tt_hits = shared.tt->hits();
-    out.tt_stores = shared.tt->stores();
-  }
   return out;
 }
 
@@ -1184,8 +871,6 @@ CutResult min_bisection_branch_bound(const Graph& g,
     res.method = opts.bisect_subset.empty() ? "branch-and-bound-bitset"
                                             : "branch-and-bound-bitset-subset";
     res.nodes_visited = out.visited;
-    res.tt_hits = out.tt_hits;
-    res.tt_stores = out.tt_stores;
     res.ws_spawned = out.ws.spawned;
     res.ws_steals = out.ws.steals;
     res.ws_idle_seconds = out.ws.idle_seconds;

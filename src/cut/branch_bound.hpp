@@ -40,7 +40,6 @@
 #include <span>
 #include <vector>
 
-#include "algo/automorphism.hpp"
 #include "core/graph.hpp"
 #include "core/thread_pool.hpp"
 #include "cut/bisection.hpp"
@@ -67,17 +66,6 @@ struct BranchBoundSearchState {
   /// Pooled search-tree nodes spent so far; restored so node budgets
   /// and nodes_visited telemetry span interruptions.
   std::uint64_t nodes_spent = 0;
-  /// 1 when the run used symmetry pruning (automorphism group + canonical
-  /// transposition table), 0 otherwise. A resumed run must be configured
-  /// with the same mode: the seed-prefix list and the set of reachable
-  /// states differ between modes, so prefix indices would silently
-  /// mismatch. Enforced by a BFLY_CHECK on resume.
-  std::uint8_t symmetry_mode = 0;
-  /// Transposition-table telemetry carried across interruptions so a
-  /// resumed run reports cumulative counts (the table itself is rebuilt
-  /// from scratch — it is a cache, not part of the proof state).
-  std::uint64_t tt_hits = 0;
-  std::uint64_t tt_stores = 0;
 };
 
 /// Which branch-and-bound search kernel to run.
@@ -137,25 +125,6 @@ struct BranchBoundOptions {
   /// robust/checkpoint carries a graph fingerprint to enforce this).
   /// Bitset kernel only.
   const BranchBoundSearchState* resume = nullptr;
-  /// Automorphism group of the graph for symmetry pruning (nullptr =
-  /// off, the default). When set, the bitset kernel (a) deduplicates
-  /// seed prefixes up to symmetry, searching one representative per
-  /// orbit, and (b) consults a canonical transposition table before
-  /// expanding a subtree: the state's side masks are canonicalized over
-  /// the enumerated group elements (and the side swap), and a subtree
-  /// whose canonical form was already fully searched is pruned. Sound
-  /// because the prune threshold only tightens over time, so a
-  /// previously searched equivalent subtree has already published any
-  /// completion that could beat the current bound (DESIGN.md §10).
-  /// Requires n <= 64 and is ignored in subset mode, by the scalar
-  /// kernel, and when the group exceeds the enumeration cap. The group
-  /// must consist of automorphisms of g (checked builds verify a
-  /// sample); a wrong group silently breaks optimality.
-  const algo::PermutationGroup* symmetry = nullptr;
-  /// Transposition-table entry cap across all stripes (new states are
-  /// dropped once full; correctness is unaffected — the table is a
-  /// pruning cache, never a proof obligation).
-  std::size_t tt_max_entries = std::size_t{1} << 20;
   /// Shard the seed-prefix work list for multi-process search: of the
   /// enumerated prefixes, this run searches only those with
   /// index % shard_count == shard_index (1 = unsharded, the default).

@@ -19,10 +19,11 @@ using wire::Reader;
 
 constexpr std::array<std::uint8_t, 8> kMagic = {'B', 'F', 'L', 'Y',
                                                 'S', 'N', 'P', '1'};
-// v2 appends the symmetry-pruning mode byte and the transposition-table
-// counters; v1 snapshots (from pre-symmetry builds) still decode, with
-// those fields zero — i.e. they resume as plain-mode runs.
-constexpr std::uint32_t kVersion = 2;
+// v3 has v1's layout. v2 appended a search-mode byte and two table
+// counters after nodes_spent; v2 streams still decode when the mode is
+// 0 (a plain search, whose prefix list this build reproduces), and the
+// counters are discarded.
+constexpr std::uint32_t kVersion = 3;
 constexpr std::uint32_t kMinVersion = 1;
 constexpr std::uint64_t kNoIncumbent =
     std::numeric_limits<std::uint64_t>::max();
@@ -80,9 +81,6 @@ std::vector<std::uint8_t> encode_snapshot(const BisectionSnapshot& snap) {
   put_u64(out, st.incumbent_sides.size());
   out.insert(out.end(), st.incumbent_sides.begin(), st.incumbent_sides.end());
   put_u64(out, st.nodes_spent);
-  out.push_back(st.symmetry_mode);
-  put_u64(out, st.tt_hits);
-  put_u64(out, st.tt_stores);
   put_u64(out, fnv1a(wire::kFnvOffset, out.data(), out.size()));
   return out;
 }
@@ -111,10 +109,10 @@ BisectionSnapshot decode_snapshot(std::span<const std::uint8_t> bytes) {
                               : static_cast<std::size_t>(cap);
   st.incumbent_sides = r.sized_bytes("incumbent_sides");
   st.nodes_spent = r.u64("nodes_spent");
-  if (version >= 2) {
-    st.symmetry_mode = r.u8("symmetry_mode");
-    st.tt_hits = r.u64("tt_hits");
-    st.tt_stores = r.u64("tt_stores");
+  std::uint8_t v2_mode = 0;
+  if (version == 2) {
+    v2_mode = r.u8("v2 search mode");
+    (void)r.raw(16, "v2 table counters");
   }
 
   // The checksum covers every byte before it; verify before trusting
@@ -142,10 +140,12 @@ BisectionSnapshot decode_snapshot(std::span<const std::uint8_t> bytes) {
   }
   require_binary(st.prefix_done, "prefix_done");
   require_binary(st.incumbent_sides, "incumbent_sides");
-  if (st.symmetry_mode > 1) {
+  if (v2_mode != 0) {
+    // Mode 1 came from a symmetry-pruned search, whose deduplicated
+    // prefix list no longer exists; anything else was never written.
     throw SnapshotError(SnapshotFault::kMalformed,
-                        "symmetry_mode " + std::to_string(st.symmetry_mode) +
-                            " is neither plain (0) nor pruned (1)");
+                        "v2 search mode " + std::to_string(v2_mode) +
+                            " is not the plain search (0)");
   }
   const bool has_incumbent =
       st.incumbent_capacity != static_cast<std::size_t>(-1);
@@ -192,12 +192,10 @@ BisectionSnapshot merge_snapshots(std::span<const BisectionSnapshot> shards) {
                           "shard snapshots were taken on different graphs");
     }
     if (s.state.seed_depth != merged.state.seed_depth ||
-        s.state.prefix_done.size() != merged.state.prefix_done.size() ||
-        s.state.symmetry_mode != merged.state.symmetry_mode) {
-      throw SnapshotError(
-          SnapshotFault::kMalformed,
-          "shard snapshots disagree on seed depth, prefix count, or "
-          "symmetry mode — not shards of one run");
+        s.state.prefix_done.size() != merged.state.prefix_done.size()) {
+      throw SnapshotError(SnapshotFault::kMalformed,
+                          "shard snapshots disagree on seed depth or prefix "
+                          "count — not shards of one run");
     }
     for (std::size_t pi = 0; pi < merged.state.prefix_done.size(); ++pi) {
       merged.state.prefix_done[pi] |= s.state.prefix_done[pi];
@@ -207,8 +205,6 @@ BisectionSnapshot merge_snapshots(std::span<const BisectionSnapshot> shards) {
       merged.state.incumbent_sides = s.state.incumbent_sides;
     }
     merged.state.nodes_spent += s.state.nodes_spent;
-    merged.state.tt_hits += s.state.tt_hits;
-    merged.state.tt_stores += s.state.tt_stores;
   }
   return merged;
 }

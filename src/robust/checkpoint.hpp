@@ -105,10 +105,10 @@ void save_snapshot(const std::filesystem::path& path,
 /// are OR-ed (each shard only ever searched — and marked — prefixes of
 /// its own residue class), the best incumbent wins (capacity ties break
 /// toward the earlier argument, keeping the merge order-insensitive up
-/// to witness choice), and node/transposition counters sum. Every shard
-/// must come from the same run shape: equal fingerprints (else
-/// kWrongGraph), equal seed_depth / prefix count / symmetry_mode (else
-/// kMalformed), non-empty input (else kMalformed). Resuming the merged
+/// to witness choice), and node counters sum. Every shard must come
+/// from the same run shape: equal fingerprints (else kWrongGraph), equal
+/// seed_depth / prefix count (else kMalformed), non-empty input (else
+/// kMalformed). Resuming the merged
 /// snapshot unsharded closes the proof: when every prefix is done the
 /// resume returns immediately with exactness kExact.
 [[nodiscard]] BisectionSnapshot merge_snapshots(

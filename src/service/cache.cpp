@@ -246,13 +246,15 @@ ServiceCache::ServiceCache(std::size_t lru_capacity,
 }
 
 std::optional<ServiceCache::Hit> ServiceCache::lookup(std::uint64_t key,
-                                                      bool want_exact) {
+                                                      bool want_exact,
+                                                      QueryKind kind) {
   {
     sync::MutexLock lock(mem_mu_);
     if (std::optional<CacheEntry> e = lru_.get(key)) {
       if (!want_exact || e->exact) return Hit{*e, Source::kMemory};
     }
   }
+  if (!persisted(kind)) return std::nullopt;
   std::optional<CacheEntry> e;
   {
     sync::MutexLock lock(disk_mu_);
@@ -273,7 +275,9 @@ ServiceCache::InsertOutcome ServiceCache::insert(const CacheEntry& e) {
     sync::MutexLock lock(mem_mu_);
     merged = lru_.put(e);
   }
-  if (!disk_.enabled()) return InsertOutcome::kMemoryOnly;
+  if (!disk_.enabled() || !persisted(e.kind)) {
+    return InsertOutcome::kMemoryOnly;
+  }
   try {
     sync::MutexLock lock(disk_mu_);
     disk_.store(merged);

@@ -6,6 +6,7 @@
 // atomic temp-plus-rename, decoded through the bounds-checked Reader.
 // A corrupted entry is quarantined (renamed aside) and treated as a
 // miss — the daemon never crashes on, and never serves, a bad file.
+// Only bisection widths reach tier 2 (see persisted()).
 #pragma once
 
 #include <atomic>
@@ -32,6 +33,15 @@ struct CacheEntry {
   std::uint64_t value = 0;
   bool exact = false;
 };
+
+/// Whether the persistent tier keeps answers of this kind. A bisection
+/// width costs a solver run. A boundary count costs about a microsecond
+/// to recompute, less than creating the file that would hold it (from
+/// a few to hundreds of microseconds, with the file system's load), so
+/// BOUNDARY answers live in the LRU only.
+[[nodiscard]] constexpr bool persisted(QueryKind kind) noexcept {
+  return kind == QueryKind::kBisectionWidth;
+}
 
 /// BFLYSVC wire format: magic | u32 version | payload | u64 FNV-1a.
 /// Throws robust::SnapshotError on any defect (same taxonomy as the
@@ -62,7 +72,8 @@ class LruCache {
 };
 
 /// Crash-safe persistent tier: one <16-hex-key>.bfc file per entry in
-/// one directory. An empty directory path disables the tier.
+/// one directory. An empty directory path disables the tier. It stores
+/// whatever it is given; ServiceCache gives it persisted() kinds only.
 class PersistentCache {
  public:
   explicit PersistentCache(std::filesystem::path dir);
@@ -118,15 +129,18 @@ class ServiceCache {
 
   enum class InsertOutcome : std::uint8_t {
     kPersisted,      ///< in the LRU and on disk
-    kMemoryOnly,     ///< persistence disabled
+    kMemoryOnly,     ///< persistence disabled, or a kind it does not keep
     kPersistFailed,  ///< disk write refused (fault or I/O); LRU still holds it
   };
 
   ServiceCache(std::size_t lru_capacity, std::filesystem::path dir);
 
   /// want_exact skips heuristic entries (an exact-policy request must
-  /// not be satisfied by an unproven bound).
-  [[nodiscard]] std::optional<Hit> lookup(std::uint64_t key, bool want_exact);
+  /// not be satisfied by an unproven bound). A key of a kind that is not
+  /// persisted() is looked up in memory only.
+  [[nodiscard]] std::optional<Hit> lookup(
+      std::uint64_t key, bool want_exact,
+      QueryKind kind = QueryKind::kBisectionWidth);
 
   InsertOutcome insert(const CacheEntry& e);
 

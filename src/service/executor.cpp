@@ -143,7 +143,7 @@ void Service::query_async(Request req, std::function<void(Response)> done) {
   // Fast path, inline on the submitting thread: hits (and cheap
   // boundary computes below) never touch the solver queue.
   if (std::optional<ServiceCache::Hit> hit =
-          cache_.lookup(party.key, want_exact)) {
+          cache_.lookup(party.key, want_exact, r.kind)) {
     (hit->source == Source::kMemory ? counters_.hits_memory
                                     : counters_.hits_disk)
         .fetch_add(1);
@@ -165,9 +165,7 @@ void Service::query_async(Request req, std::function<void(Response)> done) {
     entry.mask = canon_mask;
     entry.value = subset_edge_boundary(r.family, r.n, r.subset_mask);
     entry.exact = true;  // a boundary count is a count, not a bound
-    if (cache_.insert(entry) == ServiceCache::InsertOutcome::kPersistFailed) {
-      counters_.persist_failures.fetch_add(1);
-    }
+    cache_.insert(entry);  // memory only: not persisted(kBoundary)
     counters_.computed.fetch_add(1);
     Response resp;
     resp.status = Status::kOk;

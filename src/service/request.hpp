@@ -7,9 +7,8 @@
 // under the instance's automorphism group: BOUNDARY masks are replaced
 // by the lexicographically smallest member of their orbit, the least
 // image under the group's element list (built once per process per
-// instance, as the symmetry-pruned exact search builds its own), so
-// queries identical up to symmetry share one cache entry and one
-// in-flight computation.
+// instance), so queries identical up to symmetry share one cache entry
+// and one in-flight computation.
 //
 // The line protocol is the untrusted surface (fuzz/fuzz_service_proto
 // drives it): parse_request either returns a syntactically valid

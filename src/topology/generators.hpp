@@ -2,7 +2,8 @@
 // factories: under checked builds every exported generator is verified
 // against the graph's edge multiset before it leaves the factory, so a
 // wrong symmetry formula fails loudly at construction instead of
-// silently corrupting the symmetry-pruned exact kernels.
+// silently corrupting the orbit-sharded expansion sweep or the service's
+// canonical cache keys.
 #pragma once
 
 #include <vector>

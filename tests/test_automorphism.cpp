@@ -1,10 +1,10 @@
 // Symmetry subsystem (DESIGN.md §10): permutation arithmetic, the
 // per-topology generator exports, group orders and orbit structure
 // against the known automorphism groups, and the differential contract
-// of both symmetry-pruned exact kernels — identical optimal capacities
-// and expansion tables to the unpruned kernels on every instance, with
-// the pruning actually biting on the butterfly family. Carries the
-// `symmetry` ctest label (`ctest -L symmetry`).
+// of the orbit-sharded expansion sweep — identical expansion tables to
+// the unreduced sweep on every instance, with the orbit reduction
+// actually biting on the butterfly family. Carries the `symmetry` ctest
+// label (`ctest -L symmetry`).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +13,6 @@
 #include "algo/automorphism.hpp"
 #include "core/graph.hpp"
 #include "core/rng.hpp"
-#include "cut/branch_bound.hpp"
 #include "expansion/expansion.hpp"
 #include "topology/butterfly.hpp"
 #include "topology/ccc.hpp"
@@ -184,64 +183,7 @@ TEST(Automorphism, ElementEnumerationHonorsItsCap) {
   EXPECT_THROW((void)fresh.order(/*max_elements=*/100), PreconditionError);
 }
 
-// --- Differential contracts of the symmetry-pruned kernels ---
-
-TEST(SymmetryPrunedSearch, IdenticalCapacitiesOnTheDifferentialSuite) {
-  const Instances inst;
-  for (const auto& [name, g, gens] : inst.all()) {
-    const algo::PermutationGroup grp(g->num_nodes(), gens);
-    cut::BranchBoundOptions plain;
-    plain.kernel = cut::BranchBoundKernel::kBitset;
-    const bool bitset_ok = !g->has_parallel_edges();
-    if (!bitset_ok) continue;  // W4/CCC4 collapse to multigraphs
-    const auto ref = cut::min_bisection_branch_bound(*g, plain);
-    cut::BranchBoundOptions sym = plain;
-    sym.symmetry = &grp;
-    const auto pruned = cut::min_bisection_branch_bound(*g, sym);
-    EXPECT_EQ(pruned.capacity, ref.capacity) << name;
-    EXPECT_EQ(pruned.exactness, cut::Exactness::kExact) << name;
-    EXPECT_LE(pruned.nodes_visited, ref.nodes_visited) << name;
-    cut::validate_cut(*g, pruned, /*require_bisection=*/true);
-  }
-}
-
-TEST(SymmetryPrunedSearch, PruningMeetsTheFourFoldFloorOnW8AndCCC8) {
-  // The E21 acceptance bar: >= 4x fewer search nodes than the plain
-  // bitset kernel on W8 and CCC8, proved at the same optimum.
-  for (const bool wrapped : {true, false}) {
-    const topo::WrappedButterfly w8(8);
-    const topo::CubeConnectedCycles c8(8);
-    const Graph& g = wrapped ? w8.graph() : c8.graph();
-    const algo::PermutationGroup grp(
-        g.num_nodes(), wrapped ? w8.automorphism_generators()
-                               : c8.automorphism_generators());
-    cut::BranchBoundOptions plain;
-    plain.kernel = cut::BranchBoundKernel::kBitset;
-    const auto ref = cut::min_bisection_branch_bound(g, plain);
-    cut::BranchBoundOptions sym = plain;
-    sym.symmetry = &grp;
-    const auto pruned = cut::min_bisection_branch_bound(g, sym);
-    EXPECT_EQ(pruned.capacity, ref.capacity);
-    EXPECT_GE(ref.nodes_visited, 4 * pruned.nodes_visited)
-        << (wrapped ? "W8" : "CCC8") << ": " << pruned.nodes_visited
-        << " symmetry nodes vs " << ref.nodes_visited << " plain";
-  }
-}
-
-TEST(SymmetryPrunedSearch, TelemetryReportsTableActivity) {
-  const topo::Butterfly b8(8);
-  const algo::PermutationGroup grp(b8.graph().num_nodes(),
-                                   b8.automorphism_generators());
-  cut::BranchBoundOptions sym;
-  sym.kernel = cut::BranchBoundKernel::kBitset;
-  sym.symmetry = &grp;
-  const auto res = cut::min_bisection_branch_bound(b8.graph(), sym);
-  EXPECT_GT(res.tt_stores, 0u);
-  // Plain runs leave the counters at zero.
-  const auto plain = cut::min_bisection_branch_bound(b8.graph());
-  EXPECT_EQ(plain.tt_hits, 0u);
-  EXPECT_EQ(plain.tt_stores, 0u);
-}
+// --- Differential contract of the orbit-sharded expansion sweep ---
 
 TEST(SymmetryShardedExpansion, IdenticalTablesAndWeightedCoverage) {
   const Instances inst;

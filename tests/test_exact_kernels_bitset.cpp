@@ -145,6 +145,46 @@ TEST(BitsetBranchBound, KnownWidths) {
   EXPECT_GT(b8.nodes_visited, 0u);
 }
 
+// Serial node counts are the kernel's deterministic fingerprint: any
+// change to the branching order, a bound, or the seed-prefix driver
+// moves them. Pinned with default options (the plain bitset path that
+// bench_exact_kernels reports) and once through the checkpointed
+// prefix driver, which searches the same tree split into subtrees.
+TEST(BitsetBranchBound, SerialNodeCountsArePinned) {
+  struct Pin {
+    const char* name;
+    Graph graph;
+    std::size_t capacity;
+    std::uint64_t nodes;
+  };
+  const Pin pins[] = {
+      {"B8", topo::Butterfly(8).graph(), 8, 6448},
+      {"W8", topo::WrappedButterfly(8).graph(), 8, 1132},
+      {"CCC8", topo::CubeConnectedCycles(8).graph(), 4, 374},
+      {"CCC16", topo::CubeConnectedCycles(16).graph(), 8, 257196},
+      {"rand16", random_graph(16, 0.4, 7), 14, 178},
+  };
+  for (const Pin& p : pins) {
+    const auto res = cut::min_bisection_branch_bound(p.graph);
+    EXPECT_EQ(res.method, "branch-and-bound-bitset") << p.name;
+    EXPECT_EQ(res.exactness, cut::Exactness::kExact) << p.name;
+    EXPECT_EQ(res.capacity, p.capacity) << p.name;
+    EXPECT_EQ(res.nodes_visited, p.nodes) << p.name;
+  }
+
+  cut::BranchBoundOptions opts;
+  std::size_t checkpoints = 0;
+  opts.on_checkpoint = [&checkpoints](const cut::BranchBoundSearchState&) {
+    ++checkpoints;
+  };
+  const auto w8 =
+      cut::min_bisection_branch_bound(topo::WrappedButterfly(8).graph(), opts);
+  EXPECT_EQ(w8.exactness, cut::Exactness::kExact);
+  EXPECT_EQ(w8.capacity, 8u);
+  EXPECT_EQ(w8.nodes_visited, 1096u);
+  EXPECT_EQ(checkpoints, 32u);  // one per seed prefix
+}
+
 TEST(BitsetBranchBound, SubsetModeMatchesScalar) {
   const Graph g = random_graph(14, 0.3, 23);
   const std::vector<NodeId> subset = {0, 2, 3, 5, 7, 11};

@@ -1,7 +1,7 @@
 // Max-flow substrate: Dinic on hand-built networks, Menger path counts,
 // minimum vertex cuts on butterflies, reusable-network semantics
-// (reset / re-entry / re-wiring), the packed bitset level phase, the
-// int64 overflow guard, and certified connectivities.
+// (reset / re-entry / re-wiring), the int64 overflow guard, and
+// certified connectivities.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -101,8 +101,7 @@ TEST(MaxFlow, CompleteGraphCut) {
   EXPECT_EQ(max_edge_disjoint_paths(k6, a, b), 5);
 }
 
-// A seeded random DAG (arcs u -> v with u < v only, so no duplicate
-// ordered pairs and the packed level phase is legal) with the arc list
+// A seeded random DAG (arcs u -> v with u < v only) with the arc list
 // kept outside the network for cut recomputation.
 struct DagArc {
   NodeId u, v;
@@ -145,13 +144,6 @@ TEST(MaxFlowRandom, FlowEqualsCutOnRandomDags) {
       }
     }
     EXPECT_EQ(flow, cut) << "seed " << seed;
-    // Packed differential: the bitset level phase is a representation
-    // change only — identical maximum flow.
-    FlowNetwork packed(n);
-    (void)build_random_dag(packed, n, seed);
-    packed.enable_packed_bfs();
-    EXPECT_TRUE(packed.packed_bfs_enabled());
-    EXPECT_EQ(packed.max_flow(s, t), flow);
   }
 }
 
@@ -230,37 +222,6 @@ TEST(MaxFlowOverflow, ArcPairCapacityIsChecked) {
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   EXPECT_THROW(net.add_arc(0, 1, kMax, kMax), PreconditionError);
   EXPECT_THROW(net.add_arc(0, 1, -1), PreconditionError);
-}
-
-TEST(MaxFlowPacked, DuplicateOrderedPairIsRejected) {
-  FlowNetwork net(3);
-  net.add_arc(0, 1, 1);
-  net.add_arc(0, 1, 1);  // second arc on the same ordered pair
-  EXPECT_THROW(net.enable_packed_bfs(), PreconditionError);
-}
-
-TEST(MaxFlowPacked, MatchesQueueBfsOnButterflyCut) {
-  // The packed level phase is a pure representation change: identical
-  // flow on the butterfly whole-level vertex cut, via the node-split
-  // network with packed rows enabled.
-  const topo::Butterfly bf(8);
-  const auto inputs = bf.level_nodes(0);
-  const auto outputs = bf.level_nodes(bf.dims());
-  NodeSplitNetwork plain = make_node_split_network(bf.graph(), 1);
-  NodeSplitNetwork packed =
-      make_node_split_network(bf.graph(), 1, /*packed_bfs_node_limit=*/256);
-  EXPECT_FALSE(plain.net.packed_bfs_enabled());
-  EXPECT_TRUE(packed.net.packed_bfs_enabled());
-  for (NodeSplitNetwork* ns : {&plain, &packed}) {
-    for (const NodeId v : inputs) {
-      ns->net.set_capacity(ns->source_arc(v), kUnboundedCapacity);
-    }
-    for (const NodeId v : outputs) {
-      ns->net.set_capacity(ns->sink_arc(v), kUnboundedCapacity);
-    }
-  }
-  EXPECT_EQ(plain.net.max_flow(plain.source(), plain.sink()), 8);
-  EXPECT_EQ(packed.net.max_flow(packed.source(), packed.sink()), 8);
 }
 
 TEST(Connectivity, KnownValues) {

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/thread_pool.hpp"
-#include "algo/automorphism.hpp"
 #include "cut/branch_bound.hpp"
 #include "robust/checkpoint.hpp"
 #include "robust/fault_injection.hpp"
@@ -40,9 +39,6 @@ cut::BranchBoundSearchState make_state() {
   st.incumbent_capacity = 8;
   st.incumbent_sides = {0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1};
   st.nodes_spent = 123456;
-  st.symmetry_mode = 1;
-  st.tt_hits = 77;
-  st.tt_stores = 5501;
   return st;
 }
 
@@ -53,9 +49,6 @@ void expect_state_eq(const cut::BranchBoundSearchState& a,
   EXPECT_EQ(a.incumbent_capacity, b.incumbent_capacity);
   EXPECT_EQ(a.incumbent_sides, b.incumbent_sides);
   EXPECT_EQ(a.nodes_spent, b.nodes_spent);
-  EXPECT_EQ(a.symmetry_mode, b.symmetry_mode);
-  EXPECT_EQ(a.tt_hits, b.tt_hits);
-  EXPECT_EQ(a.tt_stores, b.tt_stores);
 }
 
 // FNV-1a as the snapshot format uses it, for tests that re-seal a
@@ -76,6 +69,30 @@ void reseal_checksum(std::vector<std::uint8_t>& bytes) {
     bytes[bytes.size() - 8 + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(h >> (8 * i));
   }
+}
+
+// A legacy stream: the current (v3) encoding with the version field set
+// to `version`. v1 shares v3's layout; v2 additionally carries a search
+// mode byte and two u64 table counters between nodes_spent and the
+// checksum.
+std::vector<std::uint8_t> encode_legacy(const robust::BisectionSnapshot& snap,
+                                        std::uint32_t version,
+                                        std::uint8_t v2_mode = 0) {
+  auto bytes = robust::encode_snapshot(snap);
+  for (int i = 0; i < 4; ++i) {  // little-endian u32 after the magic
+    bytes[8 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(version >> (8 * i));
+  }
+  if (version == 2) {
+    std::vector<std::uint8_t> extra(1 + 8 + 8, 0);
+    extra[0] = v2_mode;
+    extra[1] = 77;  // table counters 77 and 5501, discarded on decode
+    extra[9] = 5501 & 0xff;
+    extra[10] = 5501 >> 8;
+    bytes.insert(bytes.end() - 8, extra.begin(), extra.end());
+  }
+  reseal_checksum(bytes);
+  return bytes;
 }
 
 // --- Fault injection mechanics ---
@@ -219,37 +236,42 @@ TEST(Checkpoint, StructuredFaultsAreDistinguished) {
 }
 
 TEST(Checkpoint, HostileSymmetryModeIsRejectedBehindAValidChecksum) {
-  // Corrupt the symmetry_mode byte to an undefined value and re-seal the
-  // stream with a correct checksum: only the semantic validator can
-  // catch it, and it must answer kMalformed, not kBadChecksum.
-  auto bytes = robust::encode_snapshot({0x1234ull, make_state()});
-  // Layout from the end: checksum u64, tt_stores u64, tt_hits u64,
-  // symmetry_mode u8.
-  const std::size_t mode_at = bytes.size() - 8 - 8 - 8 - 1;
-  bytes[mode_at] = 2;
-  reseal_checksum(bytes);
-  try {
-    (void)robust::decode_snapshot(bytes);
-    FAIL() << "undefined symmetry mode decoded";
-  } catch (const robust::SnapshotError& e) {
-    EXPECT_EQ(e.fault(), robust::SnapshotFault::kMalformed);
+  // A v2 stream whose search-mode byte is not the plain search, behind
+  // a correct checksum: only the semantic validator can catch it, and
+  // it must answer kMalformed, not kBadChecksum. Mode 1 was a
+  // symmetry-pruned search whose prefix list this build cannot
+  // reproduce; modes above 1 were never written.
+  for (const std::uint8_t mode : {1, 2, 255}) {
+    const auto bytes = encode_legacy({0x1234ull, make_state()}, 2, mode);
+    try {
+      (void)robust::decode_snapshot(bytes);
+      FAIL() << "v2 search mode " << int{mode} << " decoded";
+    } catch (const robust::SnapshotError& e) {
+      EXPECT_EQ(e.fault(), robust::SnapshotFault::kMalformed);
+    }
   }
 }
 
 TEST(Checkpoint, Version1SnapshotsStillDecodeAsPlainMode) {
-  // A v1 stream (pre-symmetry build) is a v2 stream minus the trailing
-  // mode byte and table counters, with the version field at 1. It must
-  // decode with those fields zero — i.e. resume as a plain-mode run.
-  auto st = make_state();
-  st.symmetry_mode = 0;
-  st.tt_hits = 0;
-  st.tt_stores = 0;
-  auto bytes = robust::encode_snapshot({0x1234ull, st});
-  bytes.erase(bytes.end() - 8 - 8 - 8 - 1, bytes.end() - 8);
-  bytes[8] = 1;  // version field (little-endian u32 after the magic)
-  reseal_checksum(bytes);
-  const auto back = robust::decode_snapshot(bytes);
+  // v1 has v3's layout; only the version field differs.
+  const auto st = make_state();
+  const auto back =
+      robust::decode_snapshot(encode_legacy({0x1234ull, st}, 1));
+  EXPECT_EQ(back.fingerprint, 0x1234ull);
   expect_state_eq(back.state, st);
+}
+
+TEST(Checkpoint, Version2PlainSnapshotsDecodeAndReencodeAsVersion3) {
+  // A mode-0 v2 stream decodes to the same state, its table counters
+  // dropped; re-encoding it yields the current format.
+  const auto st = make_state();
+  const auto v2 = encode_legacy({0x1234ull, st}, 2, /*v2_mode=*/0);
+  const auto back = robust::decode_snapshot(v2);
+  expect_state_eq(back.state, st);
+  const auto v3 = robust::encode_snapshot(back);
+  EXPECT_EQ(v3.size() + 17, v2.size());
+  EXPECT_EQ(v3[8], 3);
+  expect_state_eq(robust::decode_snapshot(v3).state, st);
 }
 
 TEST(Checkpoint, SaveLoadAndFingerprintGuard) {
@@ -376,60 +398,6 @@ TEST(CheckpointedSearch, ResumeRejectsForeignState) {
   opts.resume = &st;
   EXPECT_THROW((void)cut::min_bisection_branch_bound(g, opts),
                PreconditionError);
-}
-
-TEST(CheckpointedSearch, ResumeRefusesAcrossSymmetryModes) {
-  const topo::Butterfly b4(4);
-  const Graph& g = b4.graph();
-  const algo::PermutationGroup grp(g.num_nodes(),
-                                   b4.automorphism_generators());
-
-  cut::BranchBoundSearchState plain_final, sym_final;
-  {
-    cut::BranchBoundOptions opts;
-    opts.on_checkpoint = [&](const cut::BranchBoundSearchState& st) {
-      plain_final = st;
-    };
-    (void)cut::min_bisection_branch_bound(g, opts);
-  }
-  {
-    cut::BranchBoundOptions opts;
-    opts.symmetry = &grp;
-    opts.on_checkpoint = [&](const cut::BranchBoundSearchState& st) {
-      sym_final = st;
-    };
-    (void)cut::min_bisection_branch_bound(g, opts);
-  }
-  EXPECT_EQ(plain_final.symmetry_mode, 0);
-  EXPECT_EQ(sym_final.symmetry_mode, 1);
-
-  // Rewind both states so a resume would have real work left.
-  for (auto& d : plain_final.prefix_done) d = 0;
-  for (auto& d : sym_final.prefix_done) d = 0;
-  plain_final.nodes_spent = 0;
-  sym_final.nodes_spent = 0;
-
-  {
-    cut::BranchBoundOptions opts;  // sym snapshot into a plain run
-    opts.resume = &sym_final;
-    EXPECT_THROW((void)cut::min_bisection_branch_bound(g, opts),
-                 PreconditionError);
-  }
-  {
-    cut::BranchBoundOptions opts;  // plain snapshot into a sym run
-    opts.symmetry = &grp;
-    opts.resume = &plain_final;
-    EXPECT_THROW((void)cut::min_bisection_branch_bound(g, opts),
-                 PreconditionError);
-  }
-  {
-    cut::BranchBoundOptions opts;  // matched modes resume fine
-    opts.symmetry = &grp;
-    opts.resume = &sym_final;
-    const auto res = cut::min_bisection_branch_bound(g, opts);
-    EXPECT_EQ(res.exactness, cut::Exactness::kExact);
-    EXPECT_EQ(res.capacity, cut::min_bisection_branch_bound(g).capacity);
-  }
 }
 
 // --- Supervisor ---

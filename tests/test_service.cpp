@@ -649,6 +649,36 @@ TEST(Service, BoundaryServedInlineAndSymmetricMaskHitsSameEntry) {
   EXPECT_EQ(r2.key, r1.key);
 }
 
+TEST(Service, BoundaryCountsStayInMemory) {
+  // A boundary count is cheaper to recompute than to write to a file:
+  // the persistent tier keeps bisection widths only, and a restarted
+  // service recomputes the count.
+  const DirGuard guard(temp_cache_dir("boundary"));
+  service::ServiceOptions opts;
+  opts.workers = 1;
+  opts.cache_dir = guard.dir;
+  const auto req = boundary(service::Family::kButterfly, 4, 0x13);
+  std::uint64_t value = 0;
+  {
+    service::Service svc(opts);
+    const auto r = svc.query(req);
+    ASSERT_EQ(r.status, service::Status::kOk) << r.detail;
+    EXPECT_EQ(r.source, service::Source::kComputed);
+    value = r.value;
+    EXPECT_EQ(svc.query(req).source, service::Source::kMemory);
+    EXPECT_EQ(svc.stats().persist_failures, 0u);
+  }
+  EXPECT_TRUE(fs::is_empty(guard.dir));
+  {
+    service::Service svc(opts);
+    EXPECT_EQ(svc.stats().recovered_entries, 0u);
+    const auto r = svc.query(req);
+    ASSERT_EQ(r.status, service::Status::kOk) << r.detail;
+    EXPECT_EQ(r.source, service::Source::kComputed);
+    EXPECT_EQ(r.value, value);
+  }
+}
+
 TEST(Service, BadRequestsRejectedInline) {
   service::ServiceOptions opts;
   opts.autostart = false;

@@ -1,17 +1,12 @@
 // Dynamic twin of the static capability annotations (DESIGN.md §12):
-// hammers the annotated primitives — the lock-striped transposition
-// table, GuardedCell, and SharedIncumbent — from many threads and
-// asserts schedule-independent invariants against serial ground truth.
+// hammers the annotated primitives — GuardedCell and SharedIncumbent —
+// from many threads and asserts schedule-independent invariants against
+// serial ground truth.
 // Runs in every flavor; under -DBFLY_SANITIZE=thread (`ctest -L tsan`)
 // tsan additionally checks the lock discipline the annotations promise.
 //
 // The invariants are chosen to be exact under any interleaving:
 //
-//   * N threads inserting the SAME distinct-key set: insert-if-absent
-//     counts only the winner of each per-key race, so stores == |keys|
-//     no matter who wins.
-//   * N threads then probing every key: each probe of a present key is
-//     a hit, so hits == N * |keys| — N times the serial count.
 //   * N threads bumping a GuardedCell counter K times each: the final
 //     value is exactly N * K iff no increment was lost.
 //   * N threads publishing capacities into a SharedIncumbent: the final
@@ -24,105 +19,17 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "core/rng.hpp"
 #include "core/sync.hpp"
 #include "core/thread_pool.hpp"
 #include "cut/incumbent.hpp"
-#include "cut/transposition.hpp"
 
 namespace bfly {
 namespace {
 
-using cut::TranspositionTable;
-using Key = TranspositionTable::Key;
-
 constexpr unsigned kThreads = 8;
-
-// Deterministic distinct keys; SplitMix64 is a bijection on 64-bit
-// words, so pairing consecutive outputs never repeats a pair.
-std::vector<Key> make_keys(std::size_t count, std::uint64_t seed) {
-  SplitMix64 sm(seed);
-  std::vector<Key> keys;
-  keys.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t a = sm.next();
-    const std::uint64_t b = sm.next();
-    keys.emplace_back(a, b);
-  }
-  return keys;
-}
-
-TEST(SyncStress, StripedTableCountersMatchSerial) {
-  const std::vector<Key> keys = make_keys(4096, 0xb15ec7ull);
-
-  // Serial ground truth.
-  std::uint64_t serial_hits = 0;
-  {
-    TranspositionTable serial(1 << 20);
-    for (const Key& k : keys) serial.insert(k);
-    ASSERT_EQ(serial.stores(), keys.size());
-    for (const Key& k : keys) {
-      if (serial.probe(k)) ++serial_hits;
-    }
-    ASSERT_EQ(serial_hits, keys.size());
-    ASSERT_EQ(serial.hits(), serial_hits);
-  }
-
-  // Concurrent run: every thread inserts the same key set (maximal
-  // same-stripe contention), then probes all of it.
-  TranspositionTable tt(1 << 20);
-  {
-    TaskGroup group(kThreads);
-    for (unsigned t = 0; t < kThreads; ++t) {
-      group.add([&tt, &keys] {
-        for (const Key& k : keys) tt.insert(k);
-      });
-    }
-    group.wait();
-  }
-  EXPECT_EQ(tt.stores(), keys.size());
-
-  {
-    TaskGroup group(kThreads);
-    for (unsigned t = 0; t < kThreads; ++t) {
-      group.add([&tt, &keys] {
-        for (const Key& k : keys) {
-          // Present keys must always hit; a miss would mean a torn or
-          // lost insert.
-          ASSERT_TRUE(tt.probe(k));
-        }
-      });
-    }
-    group.wait();
-  }
-  EXPECT_EQ(tt.hits(), kThreads * serial_hits);
-}
-
-TEST(SyncStress, StripedTableRespectsCapacityUnderContention) {
-  // max_entries 64 over 64 stripes = one slot per stripe: almost every
-  // insert races a full stripe, exercising the drop path.
-  const std::vector<Key> keys = make_keys(2048, 0xf0011ull);
-  TranspositionTable tt(64);
-  TaskGroup group(kThreads);
-  for (unsigned t = 0; t < kThreads; ++t) {
-    group.add([&tt, &keys] {
-      for (const Key& k : keys) tt.insert(k);
-    });
-  }
-  group.wait();
-  // Exactly one store per non-empty stripe, at most one per stripe.
-  EXPECT_GE(tt.stores(), 1u);
-  EXPECT_LE(tt.stores(), 64u);
-  // Everything stored must still probe as present.
-  std::uint64_t present = 0;
-  for (const Key& k : keys) {
-    if (tt.probe(k)) ++present;
-  }
-  EXPECT_EQ(present, tt.stores());
-}
 
 TEST(SyncStress, GuardedCellLosesNoIncrements) {
   constexpr std::uint64_t kIncrements = 20000;
