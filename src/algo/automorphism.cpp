@@ -142,16 +142,4 @@ std::size_t PermutationGroup::order(std::size_t max_elements) const {
   return elems->size();
 }
 
-std::vector<Perm> PermutationGroup::setwise_stabilizer(
-    std::uint64_t mask, std::size_t max_elements) const {
-  BFLY_CHECK(n_ <= 64, "setwise stabilizers need degree <= 64");
-  const std::vector<Perm>* elems = elements(max_elements);
-  BFLY_CHECK(elems != nullptr, "group order exceeds the enumeration cap");
-  std::vector<Perm> stab;
-  for (const Perm& p : *elems) {
-    if (apply_to_mask(p, mask) == mask) stab.push_back(p);
-  }
-  return stab;
-}
-
 }  // namespace bfly::algo

@@ -89,14 +89,6 @@ class PermutationGroup {
   [[nodiscard]] std::size_t order(
       std::size_t max_elements = kDefaultMaxElements) const;
 
-  /// Every element fixing the subset mask setwise (a subgroup, identity
-  /// included). degree() must be <= 64; requires element enumeration,
-  /// so the same cap applies (nullptr-style empty result is impossible:
-  /// throws PreconditionError when the cap is exceeded).
-  [[nodiscard]] std::vector<Perm> setwise_stabilizer(
-      std::uint64_t mask,
-      std::size_t max_elements = kDefaultMaxElements) const;
-
  private:
   NodeId n_ = 0;
   std::vector<Perm> gens_;

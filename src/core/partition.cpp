@@ -42,12 +42,6 @@ void Partition::move(NodeId v) {
   sides_[v] ^= 1;
 }
 
-void Partition::swap_across(NodeId u, NodeId v) {
-  BFLY_CHECK(sides_[u] != sides_[v], "swap_across requires opposite sides");
-  move(u);
-  move(v);
-}
-
 bool Partition::is_bisection() const noexcept {
   const std::size_t n = sides_.size();
   const std::size_t half = (n + 1) / 2;

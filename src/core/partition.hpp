@@ -47,9 +47,6 @@ class Partition {
   /// Moves v to the other side, updating capacity in O(deg(v)).
   void move(NodeId v);
 
-  /// Swaps u and v across the cut (they must be on opposite sides).
-  void swap_across(NodeId u, NodeId v);
-
   /// True iff |S| and |S̄| are both <= ceil(N/2).
   [[nodiscard]] bool is_bisection() const noexcept;
 

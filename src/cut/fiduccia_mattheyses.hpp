@@ -1,7 +1,9 @@
 // Fiduccia–Mattheyses-style bisection refinement: single-node moves with
-// balance control, a gain-bucket array per side (O(1) relink per gain
-// change, max gain with ties to the highest node id), one-move-per-node
-// passes with best-balanced-prefix rollback, random restarts.
+// balance control, a gain-bucket structure per side (O(1) update per gain
+// change and O(1) selection of max gain with ties to the highest node
+// id), one-move-per-node passes with best-balanced-prefix rollback,
+// random restarts. The pass is the shared weighted refiner of
+// cut/gain_buckets.hpp at unit weights.
 #pragma once
 
 #include <cstdint>

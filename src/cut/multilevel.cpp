@@ -9,58 +9,11 @@
 #include "core/error.hpp"
 #include "core/partition.hpp"
 #include "core/rng.hpp"
+#include "cut/gain_buckets.hpp"
 
 namespace bfly::cut {
 
 namespace {
-
-// Weighted CSR graph: each row lists a node's distinct neighbors in
-// ascending order, co-indexed with the total weight of the edges to each
-// (on the input graph, the parallel-edge multiplicity). Rows stay sorted,
-// so every scan visits neighbors in the same first-occurrence order the
-// multigraph rows of core::Graph would.
-struct WeightedGraph {
-  std::vector<std::size_t> offsets{0};
-  std::vector<NodeId> adj;
-  std::vector<std::uint32_t> edge_weight;
-
-  [[nodiscard]] NodeId num_nodes() const {
-    return static_cast<NodeId>(offsets.size() - 1);
-  }
-  [[nodiscard]] std::size_t begin(NodeId v) const { return offsets[v]; }
-  [[nodiscard]] std::size_t end(NodeId v) const { return offsets[v + 1]; }
-};
-
-WeightedGraph to_weighted(const Graph& g) {
-  WeightedGraph wg;
-  wg.offsets.reserve(g.num_nodes() + 1);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const std::size_t row = wg.adj.size();
-    for (const NodeId u : g.neighbors(v)) {
-      if (wg.adj.size() > row && wg.adj.back() == u) {
-        ++wg.edge_weight.back();  // sorted row: parallel edges are adjacent
-      } else {
-        wg.adj.push_back(u);
-        wg.edge_weight.push_back(1);
-      }
-    }
-    wg.offsets.push_back(wg.adj.size());
-  }
-  return wg;
-}
-
-// Total weight of the edges crossing the cut.
-std::size_t weighted_cut(const WeightedGraph& g,
-                         const std::vector<std::uint8_t>& sides) {
-  std::size_t cut = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (std::size_t i = g.begin(v); i < g.end(v); ++i) {
-      const NodeId u = g.adj[i];
-      if (u > v && sides[u] != sides[v]) cut += g.edge_weight[i];
-    }
-  }
-  return cut;
-}
 
 // One level of the multilevel hierarchy: a weighted graph, integer node
 // weights, and the map from the finer level's nodes onto this one.
@@ -145,110 +98,6 @@ Level coarsen(const WeightedGraph& g,
   return level;
 }
 
-// Weighted FM pass with best-balanced-prefix rollback. Balance: both
-// side weights within ceil(W/2) + slack, where slack is the heaviest
-// node (coarse nodes cannot split).
-bool weighted_fm_pass(const WeightedGraph& g,
-                      const std::vector<std::uint32_t>& weight,
-                      std::vector<std::uint8_t>& sides,
-                      std::uint64_t slack) {
-  const NodeId n = g.num_nodes();
-  std::uint64_t total = 0, w0 = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    total += weight[v];
-    if (sides[v] == 0) w0 += weight[v];
-  }
-  const std::uint64_t cap = (total + 1) / 2 + slack;
-
-  const auto gain = [&](NodeId v) {
-    std::int64_t cross = 0, same = 0;
-    for (std::size_t i = g.begin(v); i < g.end(v); ++i) {
-      (sides[g.adj[i]] == sides[v] ? same : cross) += g.edge_weight[i];
-    }
-    return cross - same;
-  };
-
-  std::size_t cut = weighted_cut(g, sides);
-  const std::size_t start_cut = cut;
-
-  using Entry = std::pair<std::int64_t, NodeId>;
-  std::priority_queue<Entry> pq[2];
-  std::vector<std::uint8_t> locked(n, 0);
-  for (NodeId v = 0; v < n; ++v) pq[sides[v]].emplace(gain(v), v);
-
-  std::vector<NodeId> moves;
-  const auto balanced = [&] {
-    return w0 <= cap && (total - w0) <= cap;
-  };
-  const bool start_balanced = balanced();
-  std::size_t best_cut =
-      start_balanced ? cut : std::numeric_limits<std::size_t>::max();
-  std::size_t best_prefix = 0;
-  bool found_balanced_prefix = false;
-
-  for (NodeId step = 0; step < n; ++step) {
-    const int from = w0 >= total - w0 ? 0 : 1;
-    NodeId v = kInvalidNode;
-    int side_used = from;
-    for (int attempt = 0; attempt < 2 && v == kInvalidNode; ++attempt) {
-      auto& q = pq[side_used];
-      while (!q.empty()) {
-        const auto [gn, cand] = q.top();
-        if (locked[cand] || sides[cand] != side_used) {
-          q.pop();
-          continue;
-        }
-        if (gn != gain(cand)) {
-          q.pop();
-          q.emplace(gain(cand), cand);
-          continue;
-        }
-        v = cand;
-        break;
-      }
-      if (v == kInvalidNode) side_used = 1 - side_used;
-    }
-    if (v == kInvalidNode) break;
-    pq[side_used].pop();
-    cut = static_cast<std::size_t>(
-        static_cast<std::int64_t>(cut) - gain(v));
-    if (sides[v] == 0) {
-      w0 -= weight[v];
-    } else {
-      w0 += weight[v];
-    }
-    sides[v] ^= 1;
-    locked[v] = 1;
-    moves.push_back(v);
-    for (std::size_t i = g.begin(v); i < g.end(v); ++i) {
-      const NodeId u = g.adj[i];
-      if (!locked[u]) pq[sides[u]].emplace(gain(u), u);
-    }
-    if (balanced() && cut < best_cut) {
-      best_cut = cut;
-      best_prefix = moves.size();
-      found_balanced_prefix = true;
-    }
-  }
-
-  // Keep the best balanced prefix. From a balanced start we only accept
-  // strict improvements; from an unbalanced start any balanced prefix is
-  // progress even if the cut grew.
-  const bool keep = start_balanced ? (found_balanced_prefix &&
-                                      best_cut < start_cut)
-                                   : found_balanced_prefix;
-  const std::size_t prefix = keep ? best_prefix : 0;
-  for (std::size_t i = moves.size(); i > prefix; --i) {
-    sides[moves[i - 1]] ^= 1;
-  }
-  // After rolling back to the kept prefix, the tracked cut value must
-  // agree with a from-scratch recount of the surviving side vector.
-  BFLY_ASSERT_MSG(weighted_cut(g, sides) ==
-                      (keep ? best_cut : start_cut),
-                  "weighted FM cut tracking drifted from recount");
-  return keep;
-}
-
 // Greedy region growing on the coarsest graph: BFS from a random seed,
 // absorbing nodes until half the total weight is reached.
 std::vector<std::uint8_t> grow_initial(const WeightedGraph& g,
@@ -314,6 +163,8 @@ CutResult min_bisection_multilevel(const Graph& g,
         hierarchy.empty() ? input : hierarchy.back().graph;
     if (hierarchy.empty()) cur_weight.assign(n, 1);
     const std::vector<std::uint32_t>& cw = cur_weight;
+    // Coarse nodes cannot split, so the refiner's balance slack is the
+    // heaviest node.
     const std::uint32_t max_w = *std::max_element(cw.begin(), cw.end());
 
     std::vector<std::uint8_t> sides;

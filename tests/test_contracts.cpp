@@ -86,17 +86,11 @@ TEST(Contracts, PartitionRejectsNonBinarySides) {
       "sides must be 0 or 1");
 }
 
-TEST(Contracts, SwapAcrossRejectsSameSide) {
-  const Graph g = path4();
-  Partition p(g, std::vector<std::uint8_t>{0, 0, 1, 1});
-  expect_precondition([&] { p.swap_across(0, 1); },
-                      "sides_[u] != sides_[v]");
-}
-
 TEST(Contracts, PartitionDeepValidateAcceptsIncrementalUpdates) {
   const Graph g = path4();
   Partition p(g, std::vector<std::uint8_t>{0, 0, 1, 1});
-  p.swap_across(1, 2);
+  p.move(1);
+  p.move(2);
   EXPECT_NO_THROW(p.validate());
   EXPECT_EQ(p.cut_capacity(), p.recompute_capacity());
 }

@@ -117,14 +117,6 @@ TEST(Partition, IsBisection) {
   EXPECT_TRUE(p.is_bisection());  // 1 vs 2 with N=3 (ceil = 2)
 }
 
-TEST(Partition, SwapAcrossRequiresOppositeSides) {
-  const Graph g = triangle();
-  Partition p(g);
-  p.move(0);
-  EXPECT_NO_THROW(p.swap_across(0, 1));   // 0 and 1 are on opposite sides
-  EXPECT_THROW(p.swap_across(0, 2), PreconditionError);  // both on side 0
-}
-
 TEST(Bitset64, SetTestCount) {
   Bitset64 b(130);
   EXPECT_EQ(b.count(), 0u);

@@ -1,10 +1,13 @@
 // Bit-identity pins for the heuristic partitioners. Each row records the
-// capacity and the FNV-1a-64 hash of the side vector that multilevel and
-// flat FM return on a fixed instance and solver seed. The rows were
-// recorded from the multigraph-level multilevel and the FM with both
-// selection structures; any internal change that alters a move or a
-// tie-break changes a hash here, so these rows are the oracle that a
-// refactor of either solver kept every witness identical.
+// capacity and the FNV-1a-64 hash of the side vector that multilevel,
+// flat FM, FM refinement and simulated annealing return on a fixed
+// instance and solver seed. The multilevel and FM rows were recorded from
+// the multigraph-level multilevel and the FM with both selection
+// structures, the annealing and refinement rows from the per-step-exp
+// annealer and the list-bucket FM; any internal change that alters a
+// move, a tie-break or an acceptance changes a hash here, so these rows
+// are the oracle that a refactor of a solver kept every witness
+// identical.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +18,7 @@
 #include "cut/fiduccia_mattheyses.hpp"
 #include "cut/multilevel.hpp"
 #include "cut/portfolio.hpp"
+#include "cut/simulated_annealing.hpp"
 #include "topology/butterfly.hpp"
 #include "topology/ccc.hpp"
 #include "topology/hypercube.hpp"
@@ -47,10 +51,13 @@ Graph doubled_edge_multigraph() {
 }
 
 Graph instance(const std::string& name) {
+  if (name == "B64") return topo::Butterfly(64).graph();
   if (name == "B256") return topo::Butterfly(256).graph();
   if (name == "W64") return topo::WrappedButterfly(64).graph();
   if (name == "CCC64") return topo::CubeConnectedCycles(64).graph();
+  if (name == "Q8") return topo::Hypercube(8).graph();
   if (name == "Q10") return topo::Hypercube(10).graph();
+  if (name == "rr500-d4-s7") return topo::random_regular(500, 4, 7);
   if (name == "rr2k-d4-s1") return topo::random_regular(2000, 4, 1);
   if (name == "rr2k-d4-s2") return topo::random_regular(2000, 4, 2);
   if (name == "rr2k-d4-s3") return topo::random_regular(2000, 4, 3);
@@ -70,6 +77,8 @@ struct Pin {
 // FM's default.
 constexpr std::uint64_t kMlSeed = 0x313371u;
 constexpr std::uint64_t kFmSeed = 0x666du;
+// Simulated annealing runs at its default options only.
+constexpr std::uint64_t kSaSeed = SimulatedAnnealingOptions{}.seed;
 
 const std::vector<Pin> kMultilevelPins = {
     {"B256", kMlSeed, 256, 0xb6ee1685c49c0b8full},
@@ -107,6 +116,14 @@ const std::vector<Pin> kFmPins = {
     {"rr2k-d4-s3", kFmSeed, 572, 0x26057af396ca59d7ull},
 };
 
+const std::vector<Pin> kSimulatedAnnealingPins = {
+    {"B64", kSaSeed, 64, 0x008d8ca570077f45ull},
+    {"W64", kSaSeed, 64, 0x0c84cce531633e43ull},
+    {"CCC64", kSaSeed, 32, 0x88664f85bacc4843ull},
+    {"Q8", kSaSeed, 128, 0xa6aebfb149a4e803ull},
+    {"rr500-d4-s7", kSaSeed, 142, 0x2283e52e9ed7ae0full},
+};
+
 void check(const Pin& p, const CutResult& r) {
   EXPECT_EQ(r.capacity, p.capacity) << p.instance << " seed " << p.seed;
   EXPECT_EQ(fnv1a64(r.sides), p.hash) << p.instance << " seed " << p.seed;
@@ -126,6 +143,22 @@ TEST(HeuristicPins, FiducciaMattheysesCapacityAndWitnessUnchanged) {
     o.seed = p.seed;
     check(p, min_bisection_fiduccia_mattheyses(instance(p.instance), o));
   }
+}
+
+TEST(HeuristicPins, SimulatedAnnealingCapacityAndWitnessUnchanged) {
+  for (const Pin& p : kSimulatedAnnealingPins) {
+    check(p, min_bisection_simulated_annealing(instance(p.instance)));
+  }
+}
+
+// The spectral polish path: FM refinement of a fixed bisection (the
+// lower half of the node ids on side 0) with the default pass limit.
+TEST(HeuristicPins, FmRefinementCapacityAndWitnessUnchanged) {
+  const Graph g = instance("rr2k-d4-s1");
+  std::vector<std::uint8_t> sides(g.num_nodes(), 0);
+  for (NodeId v = g.num_nodes() / 2; v < g.num_nodes(); ++v) sides[v] = 1;
+  check({"rr2k-d4-s1", 0, 578, 0x2793c6057dd0bebfull},
+        refine_fiduccia_mattheyses(g, std::move(sides)));
 }
 
 TEST(HeuristicPins, PortfolioSeedDerivationUnchanged) {
