@@ -17,7 +17,7 @@
 //
 // E23 — SIMD dispatch trajectory: node-budgeted bitset B&B rows named
 // `bb-bitset@<level>` run the identical search at each pinned dispatch
-// level (scalar, avx2; avx512 in full mode when detected). The node
+// level (scalar, avx2 when detected). The node
 // budget makes visited counts level-invariant — any divergence is a
 // kernel bug and fails the run — so the wall-clock ratio IS the
 // nodes/s ratio. The W32 rows define `bb_simd_speedup` in the JSON
@@ -61,11 +61,6 @@ int g_failures = 0;
 // AVX2-over-scalar nodes/s ratio from the W32 budgeted rows; 0 until
 // measured (or when the machine / --dispatch pin rules AVX2 out).
 double g_bb_simd_speedup = 0.0;
-// Per-level scalar-relative speedups from the W32 dispatch rows
-// (0 = level not run). compare_bench.py derives the same ratios from
-// the rows; these fields are for humans reading the archived JSON.
-double g_bb_speedup_avx2 = 0.0;
-double g_bb_speedup_avx512 = 0.0;
 
 void push_row(Row r) {
   r.nodes_per_sec = r.seconds > 0.0
@@ -119,17 +114,16 @@ cut::CutResult run_bisection(const std::string& instance, const Graph& g,
 // contract, so the search trace is too). Returns the avx2/scalar
 // nodes-per-second ratio, or 0 when no AVX2 row ran.
 double dispatch_case(const std::string& instance, const Graph& g,
-                     std::uint64_t node_budget, bool include_avx512) {
+                     std::uint64_t node_budget) {
   using simd::DispatchLevel;
   const DispatchLevel cap = simd::active_level();  // honors --dispatch pin
   const DispatchLevel restore = cap;
-  double secs_by_level[3] = {0.0, 0.0, 0.0};
+  double secs_by_level[2] = {0.0, 0.0};
   std::uint64_t ref_nodes = 0;
   std::size_t ref_capacity = 0;
   for (const DispatchLevel level :
-       {DispatchLevel::kScalar, DispatchLevel::kAvx2, DispatchLevel::kAvx512}) {
+       {DispatchLevel::kScalar, DispatchLevel::kAvx2}) {
     if (level > cap) continue;
-    if (level == DispatchLevel::kAvx512 && !include_avx512) continue;
     simd::set_active_level(level);
     cut::BranchBoundOptions opts;
     opts.kernel = cut::BranchBoundKernel::kBitset;
@@ -159,15 +153,6 @@ double dispatch_case(const std::string& instance, const Graph& g,
   simd::set_active_level(restore);
   const double scalar = secs_by_level[static_cast<int>(DispatchLevel::kScalar)];
   const double avx2 = secs_by_level[static_cast<int>(DispatchLevel::kAvx2)];
-  const double avx512 =
-      secs_by_level[static_cast<int>(DispatchLevel::kAvx512)];
-  if (scalar > 0.0) {
-    // Each level is measured against scalar only — never against
-    // another vector level, whose relative clocks flap under
-    // frequency scaling (see compare_bench.py's per-level floors).
-    if (avx2 > 0.0) g_bb_speedup_avx2 = scalar / avx2;
-    if (avx512 > 0.0) g_bb_speedup_avx512 = scalar / avx512;
-  }
   return (scalar > 0.0 && avx2 > 0.0) ? scalar / avx2 : 0.0;
 }
 
@@ -281,10 +266,10 @@ void write_json(const std::string& path, bool smoke) {
   std::fprintf(f, "  \"dispatch_active\": \"%s\",\n",
                simd::to_string(simd::active_level()));
   std::fprintf(f, "  \"bb_simd_speedup\": %.3f,\n", g_bb_simd_speedup);
-  std::fprintf(f,
-               "  \"bb_simd_speedup_by_level\": "
-               "{\"avx2\": %.3f, \"avx512\": %.3f},\n",
-               g_bb_speedup_avx2, g_bb_speedup_avx512);
+  // Per-level scalar-relative speedups from the W32 rows, for humans
+  // reading the archived JSON (compare_bench.py derives them from rows).
+  std::fprintf(f, "  \"bb_simd_speedup_by_level\": {\"avx2\": %.3f},\n",
+               g_bb_simd_speedup);
   std::fprintf(f, "  \"rows\": [\n");
   for (std::size_t i = 0; i < g_rows.size(); ++i) {
     const Row& r = g_rows[i];
@@ -321,7 +306,7 @@ int main(int argc, char** argv) {
       if (!simd::parse_level(argv[i] + 11, level)) {
         std::fprintf(stderr,
                      "unknown dispatch level '%s' "
-                     "(want scalar, avx2, or avx512)\n",
+                     "(want scalar or avx2)\n",
                      argv[i] + 11);
         return 2;
       }
@@ -336,7 +321,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--out=<path>] "
-                   "[--dispatch=scalar|avx2|avx512]\n",
+                   "[--dispatch=scalar|avx2]\n",
                    argv[0]);
       return 2;
     }
@@ -385,8 +370,8 @@ int main(int argc, char** argv) {
   const topo::Butterfly b16(16);
   const topo::WrappedButterfly w32(32);
   const std::uint64_t budget = smoke ? 1'500'000ull : 8'000'000ull;
-  dispatch_case("B16", b16.graph(), budget, !smoke);
-  g_bb_simd_speedup = dispatch_case("W32", w32.graph(), budget, !smoke);
+  dispatch_case("B16", b16.graph(), budget);
+  g_bb_simd_speedup = dispatch_case("W32", w32.graph(), budget);
   if (g_bb_simd_speedup > 0.0) {
     std::printf("bb_simd_speedup (W32, avx2/scalar nodes/s): %.2fx\n",
                 g_bb_simd_speedup);

@@ -53,15 +53,13 @@ import sys
 REL_TOLERANCE = 0.25  # >25% slower fails...
 ABS_FLOOR_SECONDS = 0.1  # ...but only beyond CI timing noise
 
-# SIMD dispatch gate: each vector level is compared against the SAME
+# SIMD dispatch gate: the vector level is compared against the SAME
 # RUN's scalar row (the ``bb-bitset@<level>`` dispatch rows), never
-# against another vector level — racing avx512 against avx2 across runs
-# traded wins under frequency scaling (ROADMAP item 4). Per-level
-# floors sit below the >= 1.5x target so shared-runner jitter cannot
+# across runs, whose relative clocks flap under frequency scaling. The
+# floor sits below the >= 1.5x target so shared-runner jitter cannot
 # flap the build, while a level silently degrading toward scalar speed
-# still fails. AVX-512 gets a lower floor: license-based downclocking
-# legitimately eats part of its win.
-SPEEDUP_FLOORS = {"avx2": 1.2, "avx512": 1.1}
+# still fails.
+SPEEDUP_FLOORS = {"avx2": 1.2}
 
 _TIME_UNITS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 
@@ -108,13 +106,15 @@ def rows_by_key(doc: dict) -> dict[tuple, dict]:
     return out
 
 
-_DISPATCH_LEVELS = {"scalar": 0, "avx2": 1, "avx512": 2}
+_DISPATCH_LEVELS = {"scalar": 0, "avx2": 1}
+_TOP_RANK = max(_DISPATCH_LEVELS.values())
 
 
 def dispatch_rank(doc: dict) -> int:
-    """Fresh/baseline docs written before the dispatch fields existed
-    rank highest — every row is assumed reachable, as before."""
-    return _DISPATCH_LEVELS.get(str(doc.get("dispatch_active", "avx512")), 2)
+    """Docs without the dispatch fields, or naming a level this gate does
+    not know, rank as the top level — every row is assumed reachable and
+    the wall gate stays on."""
+    return _DISPATCH_LEVELS.get(str(doc.get("dispatch_active")), _TOP_RANK)
 
 
 def row_dispatch_rank(key: tuple) -> int:
@@ -127,7 +127,8 @@ def row_dispatch_rank(key: tuple) -> int:
 
 
 def compare(fresh: dict[tuple, dict], base: dict[tuple, dict],
-            label: str, fresh_rank: int = 2, base_rank: int = 2,
+            label: str, fresh_rank: int = _TOP_RANK,
+            base_rank: int = _TOP_RANK,
             fresh_cpus: int | None = None) -> list[str]:
     failures = []
     # A run pinned below the baseline's dispatch level (scalar-only

@@ -1,13 +1,12 @@
 // Dynamic bitset over 64-bit words.
 //
 // Used by the exact solvers to represent node subsets; sized at runtime,
-// supports popcount, word-level iteration, and the fused set-algebra
-// kernels (and_count, or/and/andnot assignment) that the bitset-parallel
-// branch-and-bound and expansion sweeps are built on. The bulk word
-// kernels route through the runtime SIMD dispatch (core/simd.hpp):
-// scalar on any machine, AVX2/AVX-512 where detected, bit-identical by
-// contract. Bits above size() are always zero — the invariant the
-// whole-word kernels rely on.
+// supports popcount, word-level iteration, and the fused and_count that
+// the bitset-parallel branch-and-bound is built on. The exact frontier
+// fits in one or two words, so the word loops are plain std::popcount
+// loops; the search's two dispatched scans live in core/simd.hpp. Bits
+// above size() are always zero — the invariant the whole-word loops
+// rely on.
 #pragma once
 
 #include <bit>
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "core/error.hpp"
-#include "core/simd.hpp"
 
 namespace bfly {
 
@@ -54,8 +52,9 @@ class Bitset64 {
   }
 
   [[nodiscard]] std::size_t count() const noexcept {
-    return static_cast<std::size_t>(
-        simd::kernels().count(words_.data(), words_.size()));
+    std::size_t c = 0;
+    for (auto w : words_) c += static_cast<std::size_t>(std::popcount(w));
+    return c;
   }
 
   [[nodiscard]] bool any() const noexcept {
@@ -83,29 +82,11 @@ class Bitset64 {
   /// neighbor counts are popcounts of adj[v] & side_mask).
   [[nodiscard]] std::size_t and_count(const Bitset64& other) const {
     BFLY_ASSERT(nbits_ == other.nbits_);
-    return static_cast<std::size_t>(simd::kernels().and_count(
-        words_.data(), other.words_.data(), words_.size()));
-  }
-
-  /// *this |= other.
-  void or_assign(const Bitset64& other) {
-    BFLY_ASSERT(nbits_ == other.nbits_);
-    simd::kernels().or_assign(words_.data(), other.words_.data(),
-                              words_.size());
-  }
-
-  /// *this &= other.
-  void and_assign(const Bitset64& other) {
-    BFLY_ASSERT(nbits_ == other.nbits_);
-    simd::kernels().and_assign(words_.data(), other.words_.data(),
-                               words_.size());
-  }
-
-  /// *this &= ~other.
-  void andnot_assign(const Bitset64& other) {
-    BFLY_ASSERT(nbits_ == other.nbits_);
-    simd::kernels().andnot_assign(words_.data(), other.words_.data(),
-                                  words_.size());
+    std::size_t c = 0;
+    for (std::size_t i = 0; i < words_.size(); ++i) {
+      c += static_cast<std::size_t>(std::popcount(words_[i] & other.words_[i]));
+    }
+    return c;
   }
 
   /// Sets every bit in [0, size()).

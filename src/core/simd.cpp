@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-// The AVX paths use per-function target attributes, so they compile
+// The AVX2 paths use per-function target attributes, so they compile
 // into every binary without global -m flags and are safe to *link* on
 // any x86-64 — only calling them requires the CPU feature, which the
 // cpuid gate below guarantees. Non-x86 targets, MSVC-style drivers, and
@@ -24,46 +24,6 @@ namespace {
 // Scalar reference kernels. These ARE the semantics: every vector
 // kernel below must match them bit for bit on every input.
 // ---------------------------------------------------------------------------
-
-std::uint64_t count_scalar(const std::uint64_t* a, std::size_t words) {
-  std::uint64_t c = 0;
-  for (std::size_t i = 0; i < words; ++i) {
-    c += static_cast<std::uint64_t>(std::popcount(a[i]));
-  }
-  return c;
-}
-
-std::uint64_t and_count_scalar(const std::uint64_t* a, const std::uint64_t* b,
-                               std::size_t words) {
-  std::uint64_t c = 0;
-  for (std::size_t i = 0; i < words; ++i) {
-    c += static_cast<std::uint64_t>(std::popcount(a[i] & b[i]));
-  }
-  return c;
-}
-
-void or_assign_scalar(std::uint64_t* a, const std::uint64_t* b,
-                      std::size_t words) {
-  for (std::size_t i = 0; i < words; ++i) a[i] |= b[i];
-}
-
-void and_assign_scalar(std::uint64_t* a, const std::uint64_t* b,
-                       std::size_t words) {
-  for (std::size_t i = 0; i < words; ++i) a[i] &= b[i];
-}
-
-void andnot_assign_scalar(std::uint64_t* a, const std::uint64_t* b,
-                          std::size_t words) {
-  for (std::size_t i = 0; i < words; ++i) a[i] &= ~b[i];
-}
-
-void multi_and_count_scalar(const std::uint64_t* const* rows,
-                            const std::uint64_t* mask, std::size_t words,
-                            std::size_t num_rows, std::uint32_t* out) {
-  for (std::size_t r = 0; r < num_rows; ++r) {
-    out[r] = static_cast<std::uint32_t>(and_count_scalar(rows[r], mask, words));
-  }
-}
 
 // The branching key of cut/branch_bound.cpp's select_next, verbatim:
 // side-count difference, then activity, then degree.
@@ -128,11 +88,8 @@ void diff_histogram_scalar(const std::uint64_t* mask, std::size_t nbits,
   }
 }
 
-constexpr KernelTable kScalarTable = {
-    count_scalar,        and_count_scalar,       or_assign_scalar,
-    and_assign_scalar,   andnot_assign_scalar,   multi_and_count_scalar,
-    select_max_key_scalar, diff_histogram_scalar,
-};
+constexpr KernelTable kScalarTable = {select_max_key_scalar,
+                                      diff_histogram_scalar};
 
 // The vector candidate scans pay a fixed per-call cost (group setup,
 // horizontal reduction, field-accumulator flush); with only a handful
@@ -152,111 +109,10 @@ inline bool sparse_mask(const std::uint64_t* mask, std::size_t words) {
 #if defined(BFLY_SIMD_X86)
 
 // ---------------------------------------------------------------------------
-// AVX2 kernels: 256-bit lanes, Mula nibble-LUT popcount. 4 words per
-// vector step, scalar tail. popcnt is in the target set for the scalar
-// tails (every AVX2 CPU has it; the cpuid gate checks anyway).
+// AVX2 kernels: 256-bit lanes, 8 packed or 4 wide candidates per step.
+// popcnt is in the target set for the scalar tails (every AVX2 CPU has
+// it; the cpuid gate checks anyway).
 // ---------------------------------------------------------------------------
-
-__attribute__((target("avx2,popcnt"))) inline __m256i popcnt256(__m256i v) {
-  const __m256i lut =
-      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
-                       1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low = _mm256_set1_epi8(0x0f);
-  const __m256i lo = _mm256_and_si256(v, low);
-  const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low);
-  const __m256i cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                      _mm256_shuffle_epi8(lut, hi));
-  // Horizontal byte sums per 64-bit lane.
-  return _mm256_sad_epu8(cnt, _mm256_setzero_si256());
-}
-
-__attribute__((target("avx2,popcnt"))) std::uint64_t count_avx2(
-    const std::uint64_t* a, std::size_t words) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= words; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    acc = _mm256_add_epi64(acc, popcnt256(v));
-  }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::uint64_t c = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < words; ++i) {
-    c += static_cast<std::uint64_t>(std::popcount(a[i]));
-  }
-  return c;
-}
-
-__attribute__((target("avx2,popcnt"))) std::uint64_t and_count_avx2(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t words) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= words; i += 4) {
-    const __m256i v = _mm256_and_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
-    acc = _mm256_add_epi64(acc, popcnt256(v));
-  }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::uint64_t c = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < words; ++i) {
-    c += static_cast<std::uint64_t>(std::popcount(a[i] & b[i]));
-  }
-  return c;
-}
-
-__attribute__((target("avx2"))) void or_assign_avx2(std::uint64_t* a,
-                                                    const std::uint64_t* b,
-                                                    std::size_t words) {
-  std::size_t i = 0;
-  for (; i + 4 <= words; i += 4) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(a + i),
-        _mm256_or_si256(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i))));
-  }
-  for (; i < words; ++i) a[i] |= b[i];
-}
-
-__attribute__((target("avx2"))) void and_assign_avx2(std::uint64_t* a,
-                                                     const std::uint64_t* b,
-                                                     std::size_t words) {
-  std::size_t i = 0;
-  for (; i + 4 <= words; i += 4) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(a + i),
-        _mm256_and_si256(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i))));
-  }
-  for (; i < words; ++i) a[i] &= b[i];
-}
-
-__attribute__((target("avx2"))) void andnot_assign_avx2(std::uint64_t* a,
-                                                        const std::uint64_t* b,
-                                                        std::size_t words) {
-  std::size_t i = 0;
-  for (; i + 4 <= words; i += 4) {
-    // andnot computes ~x & y, so b goes in the first operand.
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(a + i),
-        _mm256_andnot_si256(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i))));
-  }
-  for (; i < words; ++i) a[i] &= ~b[i];
-}
-
-__attribute__((target("avx2,popcnt"))) void multi_and_count_avx2(
-    const std::uint64_t* const* rows, const std::uint64_t* mask,
-    std::size_t words, std::size_t num_rows, std::uint32_t* out) {
-  for (std::size_t r = 0; r < num_rows; ++r) {
-    out[r] = static_cast<std::uint32_t>(and_count_avx2(rows[r], mask, words));
-  }
-}
 
 // Wide-field (64-bit key) scan, 4 candidates per step: the fallback for
 // graphs whose degrees overflow the packed 32-bit key. The mask word is
@@ -594,361 +450,14 @@ __attribute__((target("avx2,popcnt"))) void diff_histogram_avx2(
   p01[1] += p1;
 }
 
-constexpr KernelTable kAvx2Table = {
-    count_avx2,        and_count_avx2,       or_assign_avx2,
-    and_assign_avx2,   andnot_assign_avx2,   multi_and_count_avx2,
-    select_max_key_avx2, diff_histogram_avx2,
-};
-
-// ---------------------------------------------------------------------------
-// AVX-512 kernels: 512-bit lanes, native vpopcntq, masked 8-candidate
-// branching scan. 8 words per vector step, scalar tail.
-// ---------------------------------------------------------------------------
-
-#define BFLY_AVX512_TARGET \
-  target("avx512f,avx512bw,avx512vl,avx512vpopcntdq,popcnt")
-
-__attribute__((BFLY_AVX512_TARGET)) std::uint64_t count_avx512(
-    const std::uint64_t* a, std::size_t words) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= words; i += 8) {
-    acc = _mm512_add_epi64(
-        acc, _mm512_popcnt_epi64(_mm512_loadu_si512(a + i)));
-  }
-  std::uint64_t c = static_cast<std::uint64_t>(_mm512_reduce_add_epi64(acc));
-  for (; i < words; ++i) {
-    c += static_cast<std::uint64_t>(std::popcount(a[i]));
-  }
-  return c;
-}
-
-__attribute__((BFLY_AVX512_TARGET)) std::uint64_t and_count_avx512(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t words) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= words; i += 8) {
-    acc = _mm512_add_epi64(
-        acc, _mm512_popcnt_epi64(_mm512_and_si512(
-                 _mm512_loadu_si512(a + i), _mm512_loadu_si512(b + i))));
-  }
-  std::uint64_t c = static_cast<std::uint64_t>(_mm512_reduce_add_epi64(acc));
-  for (; i < words; ++i) {
-    c += static_cast<std::uint64_t>(std::popcount(a[i] & b[i]));
-  }
-  return c;
-}
-
-__attribute__((BFLY_AVX512_TARGET)) void or_assign_avx512(
-    std::uint64_t* a, const std::uint64_t* b, std::size_t words) {
-  std::size_t i = 0;
-  for (; i + 8 <= words; i += 8) {
-    _mm512_storeu_si512(a + i, _mm512_or_si512(_mm512_loadu_si512(a + i),
-                                               _mm512_loadu_si512(b + i)));
-  }
-  for (; i < words; ++i) a[i] |= b[i];
-}
-
-__attribute__((BFLY_AVX512_TARGET)) void and_assign_avx512(
-    std::uint64_t* a, const std::uint64_t* b, std::size_t words) {
-  std::size_t i = 0;
-  for (; i + 8 <= words; i += 8) {
-    _mm512_storeu_si512(a + i, _mm512_and_si512(_mm512_loadu_si512(a + i),
-                                                _mm512_loadu_si512(b + i)));
-  }
-  for (; i < words; ++i) a[i] &= b[i];
-}
-
-__attribute__((BFLY_AVX512_TARGET)) void andnot_assign_avx512(
-    std::uint64_t* a, const std::uint64_t* b, std::size_t words) {
-  std::size_t i = 0;
-  for (; i + 8 <= words; i += 8) {
-    _mm512_storeu_si512(
-        a + i, _mm512_andnot_si512(_mm512_loadu_si512(b + i),
-                                   _mm512_loadu_si512(a + i)));
-  }
-  for (; i < words; ++i) a[i] &= ~b[i];
-}
-
-__attribute__((BFLY_AVX512_TARGET)) void multi_and_count_avx512(
-    const std::uint64_t* const* rows, const std::uint64_t* mask,
-    std::size_t words, std::size_t num_rows, std::uint32_t* out) {
-  for (std::size_t r = 0; r < num_rows; ++r) {
-    out[r] = static_cast<std::uint32_t>(and_count_avx512(rows[r], mask, words));
-  }
-}
-
-// Wide-field fallback, 8 candidates per step: one mask byte selects the
-// lanes via a zeroing mask move, so unset candidates carry key 0. Same
-// tie-break proof as the AVX2 scan (per-lane strictly-greater,
-// horizontal min-index).
-__attribute__((BFLY_AVX512_TARGET)) std::size_t select_max_key_avx512_wide(
-    const std::uint64_t* mask, std::size_t nbits, const std::uint32_t* a0,
-    const std::uint32_t* a1, const std::uint32_t* deg) {
-  const std::size_t words = (nbits + 63) / 64;
-  const __m512i lane_idx = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
-  const __m512i one = _mm512_set1_epi64(1);
-  __m512i best_key = _mm512_setzero_si512();
-  __m512i best_idx = _mm512_setzero_si512();
-  std::uint64_t tail_key = 0;
-  std::size_t tail_idx = static_cast<std::size_t>(-1);
-  for (std::size_t wi = 0; wi < words; ++wi) {
-    std::uint64_t w = mask[wi];
-    while (w != 0) {
-      const int g = std::countr_zero(w) >> 3;
-      const std::uint64_t byte = (w >> (8 * g)) & 0xffull;
-      w &= ~(0xffull << (8 * g));
-      const std::size_t base = wi * 64 + 8 * static_cast<std::size_t>(g);
-      if (base + 8 <= nbits) {
-        const __m256i va0 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a0 + base));
-        const __m256i va1 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a1 + base));
-        const __m256i vdeg =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(deg + base));
-        const __m256i diff = _mm256_sub_epi32(_mm256_max_epu32(va0, va1),
-                                              _mm256_min_epu32(va0, va1));
-        const __m256i sum = _mm256_add_epi32(va0, va1);
-        __m512i key = _mm512_or_si512(
-            _mm512_slli_epi64(_mm512_cvtepu32_epi64(diff), 42),
-            _mm512_or_si512(
-                _mm512_slli_epi64(_mm512_cvtepu32_epi64(sum), 21),
-                _mm512_cvtepu32_epi64(vdeg)));
-        key = _mm512_maskz_mov_epi64(static_cast<__mmask8>(byte),
-                                     _mm512_add_epi64(key, one));
-        const __m512i idx = _mm512_add_epi64(
-            _mm512_set1_epi64(static_cast<long long>(base)), lane_idx);
-        const __mmask8 gt = _mm512_cmpgt_epu64_mask(key, best_key);
-        best_key = _mm512_mask_mov_epi64(best_key, gt, key);
-        best_idx = _mm512_mask_mov_epi64(best_idx, gt, idx);
-      } else {
-        for (std::uint64_t bits = byte; bits != 0; bits &= bits - 1) {
-          const std::size_t i =
-              base + static_cast<std::size_t>(std::countr_zero(bits));
-          const std::uint64_t key = branch_key(a0, a1, deg, i) + 1;
-          if (key > tail_key) {
-            tail_key = key;
-            tail_idx = i;
-          }
-        }
-      }
-    }
-  }
-  alignas(64) std::uint64_t keys[8];
-  alignas(64) std::uint64_t idxs[8];
-  _mm512_store_si512(keys, best_key);
-  _mm512_store_si512(idxs, best_idx);
-  std::uint64_t bk = 0;
-  std::size_t bi = static_cast<std::size_t>(-1);
-  for (int l = 0; l < 8; ++l) {
-    if (keys[l] > bk ||
-        (keys[l] != 0 && keys[l] == bk && idxs[l] < static_cast<std::uint64_t>(bi))) {
-      bk = keys[l];
-      bi = static_cast<std::size_t>(idxs[l]);
-    }
-  }
-  if (tail_key > bk) {
-    bk = tail_key;
-    bi = tail_idx;
-  }
-  return bi;
-}
-
-// Packed-key scan, 16 candidates per step (see the AVX2 variant for the
-// 32-bit key-order proof). Lane membership comes straight from 16 mask
-// bits as a __mmask16 — no expansion arithmetic at all.
-__attribute__((BFLY_AVX512_TARGET)) std::size_t select_max_key_avx512(
-    const std::uint64_t* mask, std::size_t nbits, const std::uint32_t* a0,
-    const std::uint32_t* a1, const std::uint32_t* deg,
-    std::uint32_t max_value) {
-  const std::size_t words = (nbits + 63) / 64;
-  if (sparse_mask(mask, words)) {
-    return select_max_key_scalar(mask, nbits, a0, a1, deg, max_value);
-  }
-  if (max_value >= 1024) {
-    return select_max_key_avx512_wide(mask, nbits, a0, a1, deg);
-  }
-  const __m512i lane_idx =
-      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-  const __m512i one = _mm512_set1_epi32(1);
-  __m512i best_key = _mm512_setzero_si512();
-  __m512i best_idx = _mm512_setzero_si512();
-  std::uint64_t tail_key = 0;
-  std::size_t tail_idx = static_cast<std::size_t>(-1);
-  for (std::size_t wi = 0; wi < words; ++wi) {
-    const std::uint64_t w = mask[wi];
-    if (w == 0) continue;
-    for (int g = 0; g < 4; ++g) {
-      const std::uint64_t half = (w >> (16 * g)) & 0xffffull;
-      if (half == 0) continue;
-      const std::size_t base = wi * 64 + 16 * static_cast<std::size_t>(g);
-      if (base + 16 <= nbits) {
-        const __m512i va0 = _mm512_loadu_si512(a0 + base);
-        const __m512i va1 = _mm512_loadu_si512(a1 + base);
-        const __m512i vdeg = _mm512_loadu_si512(deg + base);
-        const __m512i diff = _mm512_sub_epi32(_mm512_max_epu32(va0, va1),
-                                              _mm512_min_epu32(va0, va1));
-        const __m512i sum = _mm512_add_epi32(va0, va1);
-        __m512i key = _mm512_or_si512(
-            _mm512_slli_epi32(diff, 21),
-            _mm512_or_si512(_mm512_slli_epi32(sum, 10), vdeg));
-        key = _mm512_maskz_mov_epi32(static_cast<__mmask16>(half),
-                                     _mm512_add_epi32(key, one));
-        const __m512i idx = _mm512_add_epi32(
-            _mm512_set1_epi32(static_cast<int>(base)), lane_idx);
-        const __mmask16 gt = _mm512_cmpgt_epu32_mask(key, best_key);
-        best_key = _mm512_mask_mov_epi32(best_key, gt, key);
-        best_idx = _mm512_mask_mov_epi32(best_idx, gt, idx);
-      } else {
-        for (std::uint64_t bits = half; bits != 0; bits &= bits - 1) {
-          const std::size_t i =
-              base + static_cast<std::size_t>(std::countr_zero(bits));
-          const std::uint64_t key = branch_key(a0, a1, deg, i) + 1;
-          if (key > tail_key) {
-            tail_key = key;
-            tail_idx = i;
-          }
-        }
-      }
-    }
-  }
-  alignas(64) std::uint32_t keys[16];
-  alignas(64) std::uint32_t idxs[16];
-  _mm512_store_si512(keys, best_key);
-  _mm512_store_si512(idxs, best_idx);
-  std::uint32_t bk = 0;
-  std::size_t bi = static_cast<std::size_t>(-1);
-  for (int l = 0; l < 16; ++l) {
-    if (keys[l] > bk || (keys[l] != 0 && keys[l] == bk && idxs[l] < bi)) {
-      bk = keys[l];
-      bi = idxs[l];
-    }
-  }
-  if (tail_idx != static_cast<std::size_t>(-1)) {
-    const std::uint32_t x = a0[tail_idx];
-    const std::uint32_t y = a1[tail_idx];
-    const std::uint32_t d = x > y ? x - y : y - x;
-    const std::uint32_t packed = (d << 21) | ((x + y) << 10) | deg[tail_idx];
-    if (packed + 1 > bk) {
-      bi = tail_idx;
-    }
-  }
-  return bi;
-}
-
-// 16-lane histogram; mask-register compares replace the AVX2 movemask
-// dance, and the same combined signed-diff field accumulator covers the
-// small-degree case (one hit per lane per group, 4 groups per word, so
-// field capacity 127 admits 31 words / nbits <= 1984). Same
-// commutative-sum contract.
-__attribute__((BFLY_AVX512_TARGET)) void diff_histogram_avx512(
-    const std::uint64_t* mask, std::size_t nbits, const std::uint32_t* a0,
-    const std::uint32_t* a1, std::uint32_t max_diff, std::uint32_t* p01,
-    std::uint32_t* bucket0, std::uint32_t* bucket1) {
-  const std::size_t words = (nbits + 63) / 64;
-  if (max_diff > 16 || sparse_mask(mask, words)) {
-    diff_histogram_scalar(mask, nbits, a0, a1, max_diff, p01, bucket0,
-                          bucket1);
-    return;
-  }
-  const __m512i zero = _mm512_setzero_si512();
-  const __m512i ones64 = _mm512_set1_epi64(1);
-  const __m512i bias = _mm512_set1_epi32(4);
-  const bool fields = max_diff <= 4 && words <= 31;
-  __m512i acc_lo = zero, acc_hi = zero;
-  std::uint32_t p0 = 0, p1 = 0;
-  for (std::size_t wi = 0; wi < words; ++wi) {
-    const std::uint64_t w = mask[wi];
-    if (w == 0) continue;
-    for (int g = 0; g < 4; ++g) {
-      const std::uint64_t half = (w >> (16 * g)) & 0xffffull;
-      if (half == 0) continue;
-      const std::size_t base = wi * 64 + 16 * static_cast<std::size_t>(g);
-      if (base + 16 <= nbits) {
-        const __mmask16 member = static_cast<__mmask16>(half);
-        const __m512i va0 = _mm512_loadu_si512(a0 + base);
-        const __m512i va1 = _mm512_loadu_si512(a1 + base);
-        if (fields) {
-          // Non-members stay at the ignored center field (db == 4).
-          const __m512i db = _mm512_mask_add_epi32(
-              bias, member, _mm512_sub_epi32(va0, va1), bias);
-          const __m512i s = _mm512_sub_epi32(_mm512_slli_epi32(db, 3), db);
-          acc_lo = _mm512_add_epi64(
-              acc_lo, _mm512_sllv_epi64(ones64, _mm512_cvtepu32_epi64(
-                                                    _mm512_castsi512_si256(
-                                                        s))));
-          acc_hi = _mm512_add_epi64(
-              acc_hi,
-              _mm512_sllv_epi64(ones64, _mm512_cvtepu32_epi64(
-                                            _mm512_extracti64x4_epi64(s, 1))));
-          continue;
-        }
-        const __m512i d0 = _mm512_maskz_max_epi32(
-            member, _mm512_sub_epi32(va0, va1), zero);
-        const __m512i d1 = _mm512_maskz_max_epi32(
-            member, _mm512_sub_epi32(va1, va0), zero);
-        p0 += static_cast<std::uint32_t>(std::popcount(
-            static_cast<unsigned>(_mm512_cmpgt_epi32_mask(d0, zero))));
-        p1 += static_cast<std::uint32_t>(std::popcount(
-            static_cast<unsigned>(_mm512_cmpgt_epi32_mask(d1, zero))));
-        for (std::uint32_t d = 1; d <= max_diff; ++d) {
-          const __m512i vd = _mm512_set1_epi32(static_cast<int>(d));
-          bucket0[d] += static_cast<std::uint32_t>(std::popcount(
-              static_cast<unsigned>(_mm512_cmpeq_epi32_mask(d0, vd))));
-          bucket1[d] += static_cast<std::uint32_t>(std::popcount(
-              static_cast<unsigned>(_mm512_cmpeq_epi32_mask(d1, vd))));
-        }
-      } else {
-        for (std::uint64_t bits = half; bits != 0; bits &= bits - 1) {
-          const std::size_t i =
-              base + static_cast<std::size_t>(std::countr_zero(bits));
-          const std::uint32_t x = a0[i];
-          const std::uint32_t y = a1[i];
-          if (x > y) {
-            ++p0;
-            ++bucket0[x - y];
-          } else if (y > x) {
-            ++p1;
-            ++bucket1[y - x];
-          }
-        }
-      }
-    }
-  }
-  if (fields) {
-    alignas(64) std::uint64_t f[2][8];
-    _mm512_store_si512(f[0], acc_lo);
-    _mm512_store_si512(f[1], acc_hi);
-    for (std::uint32_t d = 1; d <= max_diff; ++d) {
-      std::uint32_t c0 = 0, c1 = 0;
-      for (int l = 0; l < 8; ++l) {
-        c0 += static_cast<std::uint32_t>((f[0][l] >> (7 * (4 + d))) & 0x7f) +
-              static_cast<std::uint32_t>((f[1][l] >> (7 * (4 + d))) & 0x7f);
-        c1 += static_cast<std::uint32_t>((f[0][l] >> (7 * (4 - d))) & 0x7f) +
-              static_cast<std::uint32_t>((f[1][l] >> (7 * (4 - d))) & 0x7f);
-      }
-      bucket0[d] += c0;
-      bucket1[d] += c1;
-      p0 += c0;
-      p1 += c1;
-    }
-  }
-  p01[0] += p0;
-  p01[1] += p1;
-}
-
-constexpr KernelTable kAvx512Table = {
-    count_avx512,        and_count_avx512,       or_assign_avx512,
-    and_assign_avx512,   andnot_assign_avx512,   multi_and_count_avx512,
-    select_max_key_avx512, diff_histogram_avx512,
-};
+constexpr KernelTable kAvx2Table = {select_max_key_avx2,
+                                    diff_histogram_avx2};
 
 #endif  // BFLY_SIMD_X86
 
 const KernelTable* table_for(DispatchLevel level) noexcept {
 #if defined(BFLY_SIMD_X86)
   switch (level) {
-    case DispatchLevel::kAvx512: return &kAvx512Table;
     case DispatchLevel::kAvx2: return &kAvx2Table;
     case DispatchLevel::kScalar: break;
   }
@@ -960,13 +469,6 @@ const KernelTable* table_for(DispatchLevel level) noexcept {
 
 DispatchLevel detect() noexcept {
 #if defined(BFLY_SIMD_X86)
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512bw") &&
-      __builtin_cpu_supports("avx512vl") &&
-      __builtin_cpu_supports("avx512vpopcntdq") &&
-      __builtin_cpu_supports("popcnt")) {
-    return DispatchLevel::kAvx512;
-  }
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt")) {
     return DispatchLevel::kAvx2;
   }
@@ -976,7 +478,7 @@ DispatchLevel detect() noexcept {
 
 // Detection plus the BFLY_SIMD_DISPATCH pin, evaluated once. An unknown
 // name or an over-detection request is reported on stderr and clamped —
-// never silently honored (a test asserting "avx512 forced" on a machine
+// never silently honored (a test asserting "avx2 forced" on a machine
 // without it should fail its level check, not fault).
 DispatchLevel initial_level() noexcept {
   const DispatchLevel detected = detect();
@@ -986,7 +488,7 @@ DispatchLevel initial_level() noexcept {
   if (!parse_level(env, requested)) {
     std::fprintf(stderr,
                  "bfly: ignoring unknown BFLY_SIMD_DISPATCH='%s' "
-                 "(expected scalar, avx2, or avx512)\n",
+                 "(expected scalar or avx2)\n",
                  env);
     return detected;
   }
@@ -1011,7 +513,6 @@ const char* to_string(DispatchLevel level) noexcept {
   switch (level) {
     case DispatchLevel::kScalar: return "scalar";
     case DispatchLevel::kAvx2: return "avx2";
-    case DispatchLevel::kAvx512: return "avx512";
   }
   return "?";
 }
@@ -1021,8 +522,6 @@ bool parse_level(std::string_view name, DispatchLevel& out) noexcept {
     out = DispatchLevel::kScalar;
   } else if (name == "avx2") {
     out = DispatchLevel::kAvx2;
-  } else if (name == "avx512") {
-    out = DispatchLevel::kAvx512;
   } else {
     return false;
   }

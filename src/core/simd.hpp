@@ -1,31 +1,29 @@
-// Runtime-dispatched SIMD kernels for the Bitset64 set algebra.
+// Runtime-dispatched SIMD scans for the bitset branch-and-bound.
 //
-// The exact solvers spend almost all of their time in a handful of
-// word-loop primitives: popcount reductions over `adj[v] & side_mask`,
-// the fused assign/unassign sweeps, and the most-constrained branching
-// scan (an argmax over the unassigned set). This header exposes those
-// primitives as a table of function pointers with three implementations
-// — portable scalar, AVX2, AVX-512 — selected once at startup by cpuid
-// and overridable for testing:
+// The exact search spends its time in two candidate scans over the
+// unassigned set: the most-constrained branching argmax and the
+// assignment-count bound's difference histogram. This header exposes
+// those two scans as a table of function pointers with two
+// implementations — portable scalar and AVX2 — selected once at startup
+// by cpuid and overridable for testing:
 //
-//   * `BFLY_SIMD_DISPATCH={scalar,avx2,avx512}` in the environment pins
-//     the level before first use (requests above the detected level are
-//     clamped, loudly);
+//   * `BFLY_SIMD_DISPATCH={scalar,avx2}` in the environment pins the
+//     level before first use (unknown names are ignored and requests
+//     above the detected level are clamped, both loudly);
 //   * set_active_level() switches at runtime for differential tests and
 //     the bench's --dispatch rows. It must not race in-flight solver
 //     calls — flip it between runs, not during them.
 //
-// Every implementation is bit-identical to the scalar reference by
-// contract: same results on every input including tail words (bit
-// counts not divisible by 64/256/512) and zero-length bitsets, and
-// select_max_key reproduces the scalar first-max-in-index-order tie
-// break exactly, so solver node counts are dispatch-invariant.
-// tests/test_simd_kernels.cpp enforces this differentially; the scalar
-// path is the reference, never removed.
+// The AVX2 table is bit-identical to the scalar reference by contract:
+// same results on every input including tail groups (bit counts not
+// divisible by 8) and zero-length masks, and select_max_key reproduces
+// the scalar first-max-in-index-order tie break exactly, so solver node
+// counts are dispatch-invariant. tests/test_simd_kernels.cpp enforces
+// this differentially; the scalar path is the reference, never removed.
 //
-// Configure-time: the AVX paths compile only under BFLY_SIMD=ON (the
+// Configure-time: the AVX2 paths compile only under BFLY_SIMD=ON (the
 // default) on x86-64 GCC/Clang, via per-function target attributes — no
-// global -mavx* flags, so one binary carries all levels and plain
+// global -mavx* flags, so one binary carries both levels and plain
 // builds stay portable. With BFLY_SIMD=OFF (or off-x86) only the scalar
 // table exists and detected_level() reports kScalar.
 #pragma once
@@ -37,12 +35,11 @@
 namespace bfly::simd {
 
 enum class DispatchLevel : int {
-  kScalar = 0,  ///< portable word loops (the differential reference)
-  kAvx2 = 1,    ///< 256-bit lanes, nibble-LUT popcount
-  kAvx512 = 2,  ///< 512-bit lanes, vpopcntq
+  kScalar = 0,  ///< portable bit walks (the differential reference)
+  kAvx2 = 1,    ///< 256-bit lanes, 8 packed candidates per step
 };
 
-/// "scalar" / "avx2" / "avx512".
+/// "scalar" / "avx2".
 [[nodiscard]] const char* to_string(DispatchLevel level) noexcept;
 
 /// Parses a level name (the env-override / --dispatch vocabulary).
@@ -64,29 +61,11 @@ enum class DispatchLevel : int {
 /// differential contract (same level for a whole run) would be void.
 bool set_active_level(DispatchLevel level) noexcept;
 
-/// The dispatched primitives. All word pointers are to little-endian
-/// 64-bit words; `words == 0` is valid everywhere (zero-length bitset).
-/// Callers guarantee bits above a bitset's logical size are zero — the
-/// Bitset64 invariant — so whole-word kernels need no tail masking.
+/// The dispatched scans. Mask pointers are to little-endian 64-bit
+/// words; `nbits == 0` is valid everywhere (zero-length mask). Callers
+/// guarantee bits above a mask's logical size are zero — the Bitset64
+/// invariant — so the scans need no tail masking.
 struct KernelTable {
-  /// popcount over a[0..words).
-  std::uint64_t (*count)(const std::uint64_t* a, std::size_t words);
-  /// popcount(a & b) without materializing the intersection.
-  std::uint64_t (*and_count)(const std::uint64_t* a, const std::uint64_t* b,
-                             std::size_t words);
-  /// a |= b, a &= b, a &= ~b.
-  void (*or_assign)(std::uint64_t* a, const std::uint64_t* b,
-                    std::size_t words);
-  void (*and_assign)(std::uint64_t* a, const std::uint64_t* b,
-                     std::size_t words);
-  void (*andnot_assign)(std::uint64_t* a, const std::uint64_t* b,
-                        std::size_t words);
-  /// Batched multi-row reduction: out[i] = popcount(rows[i] & mask) for
-  /// i in [0, num_rows). The branch-and-bound seeds whole prefixes with
-  /// one call (every adjacency row against one side mask).
-  void (*multi_and_count)(const std::uint64_t* const* rows,
-                          const std::uint64_t* mask, std::size_t words,
-                          std::size_t num_rows, std::uint32_t* out);
   /// Most-constrained branching scan: over the set bits i of
   /// mask[0..nbits), maximize
   ///     key(i) = (|a0[i]-a1[i]| << 42) | ((a0[i]+a1[i]) << 21) | deg[i]

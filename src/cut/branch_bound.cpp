@@ -377,8 +377,8 @@ struct BitsetSearcher {
 
   // Batched prefix seeding for the sharded drivers: set the masks and
   // per-node state wholesale, then rebuild every derived quantity with
-  // one dispatched multi-row and_count pass (a[s][w] = |adj[w] ∩
-  // mask[s]| for ALL w at once) instead of prefix-many incremental
+  // one and_count pass over all rows (a[s][w] = |adj[w] ∩ mask[s]| for
+  // ALL w at once) instead of prefix-many incremental
   // assign() sweeps. Prefix nodes end up carrying their FULL side
   // counts where sequential seeding leaves the partial counts frozen at
   // assignment time — safe, because an assigned node's counts are only
@@ -401,12 +401,10 @@ struct BitsetSearcher {
       mask[s].set(v);
       unassigned.reset(v);
     }
-    std::vector<const std::uint64_t*> rows(n);
-    for (NodeId v = 0; v < n; ++v) rows[v] = adj[v].words().data();
-    const simd::KernelTable& k = simd::kernels();
     for (int s = 0; s < 2; ++s) {
-      k.multi_and_count(rows.data(), mask[s].words().data(),
-                        mask[s].num_words(), n, a[s].data());
+      for (NodeId w = 0; w < n; ++w) {
+        a[s][w] = static_cast<std::uint32_t>(adj[w].and_count(mask[s]));
+      }
     }
     // cut = cross edges within the assigned set, each counted once from
     // its side-1 endpoint; sum_min re-derived over the unassigned rest.

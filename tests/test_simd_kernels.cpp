@@ -1,8 +1,8 @@
 // Differential suite for the runtime-dispatched SIMD kernel table
-// (core/simd.hpp): every level this machine can run — scalar, AVX2,
-// AVX-512 — must be bit-identical to the scalar reference on random
-// inputs, including tail words (bit counts not divisible by the lane
-// width), zero-length bitsets, sparse masks (which take the scalar
+// (core/simd.hpp): every level this machine can run — scalar, AVX2 —
+// must be bit-identical to the scalar reference on random inputs,
+// including tail groups (bit counts not divisible by the lane width),
+// zero-length masks, sparse masks (which take the scalar
 // delegation shortcut), and both sides of every internal tier gate
 // (packed 32-bit vs wide 64-bit branching keys; field-accumulator vs
 // movemask vs scalar histograms). Also pins the dispatch-control
@@ -28,20 +28,16 @@ std::vector<DispatchLevel> available_levels() {
   if (detected_level() >= DispatchLevel::kAvx2) {
     levels.push_back(DispatchLevel::kAvx2);
   }
-  if (detected_level() >= DispatchLevel::kAvx512) {
-    levels.push_back(DispatchLevel::kAvx512);
-  }
   return levels;
 }
 
 struct RandomInput {
   std::size_t nbits = 0;
   std::vector<std::uint64_t> mask;
-  std::vector<std::uint64_t> other;
   std::vector<std::uint32_t> a0, a1, deg;
 };
 
-// Random bitset pair + per-bit values, honoring the Bitset64 invariant
+// Random mask + per-bit values, honoring the Bitset64 invariant
 // that bits above nbits are zero. `density` controls mask population so
 // both the sparse shortcut and the dense vector paths are exercised.
 RandomInput make_input(std::mt19937_64& rng, std::size_t nbits,
@@ -50,7 +46,6 @@ RandomInput make_input(std::mt19937_64& rng, std::size_t nbits,
   in.nbits = nbits;
   const std::size_t words = (nbits + 63) / 64;
   in.mask.assign(words, 0);
-  in.other.assign(words, 0);
   in.a0.assign(nbits, 0);
   in.a1.assign(nbits, 0);
   in.deg.assign(nbits, 0);
@@ -58,7 +53,6 @@ RandomInput make_input(std::mt19937_64& rng, std::size_t nbits,
   std::uniform_int_distribution<std::uint32_t> val(0, max_value);
   for (std::size_t i = 0; i < nbits; ++i) {
     if (coin(rng) < density) in.mask[i / 64] |= std::uint64_t{1} << (i % 64);
-    if (coin(rng) < 0.5) in.other[i / 64] |= std::uint64_t{1} << (i % 64);
     in.a0[i] = val(rng);
     in.a1[i] = val(rng);
     in.deg[i] = val(rng);
@@ -68,73 +62,6 @@ RandomInput make_input(std::mt19937_64& rng, std::size_t nbits,
 
 const std::size_t kSizes[] = {0, 1, 63, 64, 65, 80, 128,
                               160, 200, 257, 448, 1000, 2100};
-
-TEST(SimdKernels, CountAndAndCountMatchScalar) {
-  std::mt19937_64 rng(7);
-  const auto& ref = kernels_for(DispatchLevel::kScalar);
-  for (const DispatchLevel level : available_levels()) {
-    const KernelTable& kt = kernels_for(level);
-    for (const std::size_t nbits : kSizes) {
-      for (const double density : {0.05, 0.5, 0.97}) {
-        const RandomInput in = make_input(rng, nbits, 9, density);
-        const std::size_t words = in.mask.size();
-        EXPECT_EQ(kt.count(in.mask.data(), words),
-                  ref.count(in.mask.data(), words));
-        EXPECT_EQ(kt.and_count(in.mask.data(), in.other.data(), words),
-                  ref.and_count(in.mask.data(), in.other.data(), words));
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, AssignOpsMatchScalar) {
-  std::mt19937_64 rng(11);
-  const auto& ref = kernels_for(DispatchLevel::kScalar);
-  for (const DispatchLevel level : available_levels()) {
-    const KernelTable& kt = kernels_for(level);
-    for (const std::size_t nbits : kSizes) {
-      const RandomInput in = make_input(rng, nbits, 9, 0.5);
-      const std::size_t words = in.mask.size();
-      auto a_or = in.mask, a_and = in.mask, a_andnot = in.mask;
-      auto r_or = in.mask, r_and = in.mask, r_andnot = in.mask;
-      kt.or_assign(a_or.data(), in.other.data(), words);
-      kt.and_assign(a_and.data(), in.other.data(), words);
-      kt.andnot_assign(a_andnot.data(), in.other.data(), words);
-      ref.or_assign(r_or.data(), in.other.data(), words);
-      ref.and_assign(r_and.data(), in.other.data(), words);
-      ref.andnot_assign(r_andnot.data(), in.other.data(), words);
-      EXPECT_EQ(a_or, r_or);
-      EXPECT_EQ(a_and, r_and);
-      EXPECT_EQ(a_andnot, r_andnot);
-    }
-  }
-}
-
-TEST(SimdKernels, MultiAndCountMatchesScalar) {
-  std::mt19937_64 rng(13);
-  const auto& ref = kernels_for(DispatchLevel::kScalar);
-  for (const DispatchLevel level : available_levels()) {
-    const KernelTable& kt = kernels_for(level);
-    for (const std::size_t nbits : {std::size_t{0}, std::size_t{80},
-                                    std::size_t{200}}) {
-      const std::size_t words = (nbits + 63) / 64;
-      std::vector<std::vector<std::uint64_t>> rows_data;
-      std::vector<const std::uint64_t*> rows;
-      for (int r = 0; r < 9; ++r) {
-        rows_data.push_back(make_input(rng, nbits, 1, 0.4).mask);
-        rows.push_back(rows_data.back().data());
-      }
-      const RandomInput in = make_input(rng, nbits, 1, 0.6);
-      std::vector<std::uint32_t> got(rows.size(), 0xdead);
-      std::vector<std::uint32_t> want(rows.size(), 0xbeef);
-      kt.multi_and_count(rows.data(), in.mask.data(), words, rows.size(),
-                         got.data());
-      ref.multi_and_count(rows.data(), in.mask.data(), words, rows.size(),
-                          want.data());
-      EXPECT_EQ(got, want);
-    }
-  }
-}
 
 // max_value < 1024 exercises the packed 32-bit key path; the larger
 // bound forces the wide 64-bit path. Both must reproduce the scalar
@@ -223,30 +150,31 @@ TEST(SimdKernels, DiffHistogramMatchesScalar) {
 
 TEST(SimdDispatch, LevelNamesRoundTrip) {
   for (const DispatchLevel level :
-       {DispatchLevel::kScalar, DispatchLevel::kAvx2, DispatchLevel::kAvx512}) {
+       {DispatchLevel::kScalar, DispatchLevel::kAvx2}) {
     DispatchLevel parsed = DispatchLevel::kScalar;
     ASSERT_TRUE(parse_level(to_string(level), parsed));
     EXPECT_EQ(parsed, level);
   }
   DispatchLevel out = DispatchLevel::kAvx2;
   EXPECT_FALSE(parse_level("sse9", out));
+  EXPECT_FALSE(parse_level("avx512", out));
   EXPECT_EQ(out, DispatchLevel::kAvx2);  // untouched on failure
 }
 
-// CI's dispatch legs (AVX2 pin, scalar-fallback pin) export
-// BFLY_SIMD_DISPATCH and rely on the pin being honored at startup;
-// asserted here so a broken env override fails its leg instead of
-// silently exercising the wrong kernels. Unpinned runs skip.
+// The scalar-pinned ctest entry (tests/CMakeLists.txt) and CI's
+// release-scalar leg export BFLY_SIMD_DISPATCH and rely on the pin
+// being honored at startup; asserted here so a broken env override
+// fails instead of silently exercising the wrong kernels. Unpinned
+// runs, and unknown names (ignored with a stderr note), start at the
+// detected level.
 TEST(SimdDispatch, EnvPinIsHonored) {
+  DispatchLevel expected = detected_level();
   const char* env = std::getenv("BFLY_SIMD_DISPATCH");
-  if (env == nullptr || *env == '\0') {
-    GTEST_SKIP() << "BFLY_SIMD_DISPATCH not set";
-  }
   DispatchLevel requested = DispatchLevel::kScalar;
-  if (!parse_level(env, requested)) {
-    GTEST_SKIP() << "unparseable pin '" << env << "' (startup clamps it)";
+  if (env != nullptr && parse_level(env, requested)) {
+    expected = std::min(requested, detected_level());
   }
-  EXPECT_EQ(active_level(), std::min(requested, detected_level()));
+  EXPECT_EQ(active_level(), expected);
 }
 
 TEST(SimdDispatch, SetActiveLevelClampsAndRestores) {
@@ -256,8 +184,8 @@ TEST(SimdDispatch, SetActiveLevelClampsAndRestores) {
   EXPECT_TRUE(set_active_level(DispatchLevel::kScalar));
   EXPECT_EQ(active_level(), DispatchLevel::kScalar);
   // Above-detection requests are refused without side effects.
-  if (detected_level() < DispatchLevel::kAvx512) {
-    EXPECT_FALSE(set_active_level(DispatchLevel::kAvx512));
+  if (detected_level() < DispatchLevel::kAvx2) {
+    EXPECT_FALSE(set_active_level(DispatchLevel::kAvx2));
     EXPECT_EQ(active_level(), DispatchLevel::kScalar);
   }
   // The active table and the per-level table are the same object.
